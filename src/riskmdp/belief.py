@@ -13,7 +13,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import CapExceeded, DomainError, ZeroProbabilityObservation
-from .model import Belief, ModelSpec, _normalize_exact
+from .model import Belief, ModelSpec, _normalize_rows
 
 DEDUP_DECIMALS = 10
 DEFAULT_NODE_CAP = 1_000_000
@@ -99,10 +99,14 @@ def posterior_from_history(m: ModelSpec, history: Sequence[str], actions: Sequen
     return Belief(m.parameters, un)
 
 
+def _fingerprint_format(n_params: int) -> str:
+    return "t=%s|x=%s|xi=" + ",".join([f"%.{DEDUP_DECIMALS}f"] * n_params)
+
+
 def belief_fingerprint(t: int, state: str, weights: np.ndarray) -> str:
     """Canonical node key: coordinates rounded to 10 decimal digits."""
-    coords = ",".join(f"{w:.{DEDUP_DECIMALS}f}" for w in np.asarray(weights) + 0.0)
-    return f"t={t}|x={state}|xi={coords}"
+    w = np.asarray(weights) + 0.0  # prints -0.0 as 0
+    return _fingerprint_format(len(w)) % (t, state, *w.tolist())
 
 
 @dataclass(frozen=True, eq=False)
@@ -117,17 +121,39 @@ class BeliefNode:
 
 
 @dataclass(frozen=True, eq=False)
+class GraphLevel:
+    """The nodes at one time step, as arrays over the level's rows.
+
+    Row r is the node with ordinal ordinals[r], state index states[r] and
+    belief weights[r]; the node's Belief shares that read-only row.
+    children[r, k, l] is the ordinal of the child reached by action k and
+    next state l, or -1 where that move is inadmissible, has zero predictive
+    probability, or t is the horizon.
+    """
+
+    t: int
+    ordinals: np.ndarray  # (N,) int
+    states: np.ndarray  # (N,) int
+    weights: np.ndarray  # (N, n_params) float
+    children: np.ndarray  # (N, n_actions, n_states) int
+
+
+@dataclass(frozen=True, eq=False)
 class BeliefGraph:
     """Acyclic leveled graph of reachable beliefs.
 
-    edges maps (node ordinal, action label, next state label) to the child
-    ordinal. Nodes are stored in insertion (breadth-first) order.
+    Nodes are stored in insertion (breadth-first) order, so each level's
+    nodes hold a contiguous run of ordinals. levels[t - 1] holds the nodes
+    at time t as arrays, for solvers that sweep a level at a time. edges
+    maps (node ordinal, action label, next state label) to the child
+    ordinal, for callers that work with labels.
     """
 
     model: ModelSpec
     nodes: tuple[BeliefNode, ...]
     edges: dict[tuple[int, str, str], int]
     root: BeliefNode
+    levels: tuple[GraphLevel, ...]
     by_id: dict[str, BeliefNode] = field(default_factory=dict)
 
     def __post_init__(self):
@@ -135,7 +161,9 @@ class BeliefGraph:
             object.__setattr__(self, "by_id", {n.id: n for n in self.nodes})
 
     def nodes_at(self, t: int) -> list[BeliefNode]:
-        return [n for n in self.nodes if n.t == t]
+        if not 1 <= t <= len(self.levels):
+            return []
+        return [self.nodes[o] for o in self.levels[t - 1].ordinals.tolist()]
 
     def child(self, node: BeliefNode, u: str, x_next: str) -> BeliefNode | None:
         idx = self.edges.get((node.ordinal, u, x_next))
@@ -143,53 +171,69 @@ class BeliefGraph:
 
 
 def build_reachable_belief_graph(m: ModelSpec, node_cap: int = DEFAULT_NODE_CAP) -> BeliefGraph:
-    """Breadth-first enumeration of reachable (t, state, belief) nodes.
+    """Breadth-first enumeration of reachable (t, state, belief) nodes, a level at a time.
 
-    Beliefs are deduplicated by their rounded fingerprint. Transitions with
-    zero predictive probability are pruned, so Bayes updates never divide by
-    zero. Raises CapExceeded before the node count would pass node_cap.
+    For the N nodes of a level, every child posterior is formed at once as
+    an (N, n_actions, n_states, n_params) array. Inadmissible moves and
+    transitions with zero predictive probability are pruned, so Bayes
+    updates never divide by zero; the rest are normalized exactly, row by
+    row. Children are deduplicated by their rounded fingerprint and created
+    in (parent, action, next state) order, so the first child to reach a
+    fingerprint supplies its belief. Raises CapExceeded when a level would
+    take the node count past node_cap.
     """
     if node_cap < 1:
         raise DomainError(f"node_cap must be >= 1, got {node_cap}")
+    if m.horizon > 1 and m.prior.params != m.parameters:
+        raise DomainError("belief is not over this model's parameters")
 
-    nodes: list[BeliefNode] = []
-    by_key: dict[str, int] = {}
+    fmt = _fingerprint_format(len(m.parameters))
+    root = BeliefNode(id=belief_fingerprint(1, m.initial_state, m.prior.weights), t=1,
+                      state=m.initial_state, belief=m.prior, ordinal=0)
+    nodes = [root]
     edges: dict[tuple[int, str, str], int] = {}
+    levels: list[GraphLevel] = []
+    xs = np.array([m.state_index(m.initial_state)])
+    weights = m.prior.weights[None, :]
+    for t in range(1, m.horizon + 1):
+        first = len(nodes) - len(xs)
+        ordinals = np.arange(first, len(nodes))
+        children = np.full((len(xs), len(m.actions), len(m.states)), -1)
+        levels.append(GraphLevel(t, ordinals, xs, weights, children))
+        if t == m.horizon:
+            break
 
-    def intern(t: int, state: str, belief: Belief) -> int:
-        key = belief_fingerprint(t, state, belief.weights)
-        got = by_key.get(key)
-        if got is not None:
-            return got
-        if len(nodes) + 1 > node_cap:
+        # un[r, k, l, i] = weights[r, i] * kernel[i, xs[r], k, l]
+        un = weights[:, None, None, :] * m.kernel[:, xs].transpose(1, 2, 3, 0)
+        # A NaN mass is kept, so the weight check below rejects it.
+        live = m.admissible[t - 1, xs][:, :, None] & ~(un.sum(axis=3) <= 0.0)
+        rows = un[live]
+        if np.any(rows < 0) or not np.all(np.isfinite(rows)):
+            raise DomainError("belief weights must be finite and nonnegative")
+        post = _normalize_rows(rows)
+        src, act, nxt = np.nonzero(live)
+        nxt_list = nxt.tolist()
+        keys = [fmt % (t + 1, m.states[y], *w) for y, w in zip(nxt_list, (post + 0.0).tolist())]
+        index = {key: i for i, key in enumerate(dict.fromkeys(keys))}
+        if len(nodes) + len(index) > node_cap:
             raise CapExceeded(f"belief graph would exceed node cap {node_cap}")
-        node = BeliefNode(id=key, t=t, state=state, belief=belief, ordinal=len(nodes))
-        nodes.append(node)
-        by_key[key] = node.ordinal
-        return node.ordinal
+        local = np.array([index[key] for key in keys], dtype=np.intp)
+        dst = len(nodes) + local
+        children[src, act, nxt] = dst
 
-    root_ord = intern(1, m.initial_state, m.prior)
-    frontier = [root_ord]
-    for t in range(1, m.horizon):
-        nxt: list[int] = []
-        seen: set[int] = set()
-        for no in frontier:
-            node = nodes[no]
-            for u in m.admissible_actions(t, node.state):
-                pred = predictive_next_state(m, node.belief, node.state, u)
-                for l, y in enumerate(m.states):
-                    if pred[l] <= 0.0:
-                        continue
-                    child_belief = bayes_update(m, node.belief, node.state, u, y)
-                    co = intern(t + 1, y, child_belief)
-                    edges[(no, u, y)] = co
-                    if co not in seen:
-                        seen.add(co)
-                        nxt.append(co)
-        frontier = nxt
+        _, firsts = np.unique(local, return_index=True)
+        xs = nxt[firsts]
+        weights = post[firsts]
+        weights.setflags(write=False)
+        for r, e in enumerate(firsts.tolist()):
+            nodes.append(BeliefNode(id=keys[e], t=t + 1, state=m.states[nxt_list[e]],
+                                    belief=Belief._normalized(m.parameters, weights[r]),
+                                    ordinal=len(nodes)))
+        labels = zip((first + src).tolist(), [m.actions[k] for k in act.tolist()],
+                     [m.states[y] for y in nxt_list])
+        edges.update(zip(labels, dst.tolist()))
 
-    graph = BeliefGraph(model=m, nodes=tuple(nodes), edges=edges, root=nodes[root_ord])
-    return graph
+    return BeliefGraph(model=m, nodes=tuple(nodes), edges=edges, root=root, levels=tuple(levels))
 
 
 def graph_to_json(graph: BeliefGraph) -> dict:

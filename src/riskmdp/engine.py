@@ -63,7 +63,7 @@ class ValueTable:
 
 
 def solve_dp(m: ModelSpec, crit: CriterionSpec, graph: BeliefGraph) -> tuple[ValueTable, QuasiMarkovPolicy]:
-    """Backward induction over the reachable belief graph.
+    """Backward induction over the reachable belief graph, a level at a time.
 
     At each node the candidate actions are scored by aggregating, per
     parameter, the stage cost plus the transition risk map applied to the
@@ -73,43 +73,35 @@ def solve_dp(m: ModelSpec, crit: CriterionSpec, graph: BeliefGraph) -> tuple[Val
     term is skipped outright.
     """
     n_params = len(m.parameters)
-    n_states = len(m.states)
-    values = np.zeros(len(graph.nodes))
+    # The extra last slot is the zero value gathered for a missing child (-1).
+    values = np.zeros(len(graph.nodes) + 1)
     argmin: dict[str, str] = {}
 
-    levels: dict[int, list[BeliefNode]] = {}
-    for node in graph.nodes:
-        levels.setdefault(node.t, []).append(node)
-
-    for t in range(m.horizon, 0, -1):
-        for node in levels.get(t, []):
-            j = m.state_index(node.state)
-            w = node.belief.weights
+    for level in reversed(graph.levels):
+        t = level.t
+        cost = m.cost[t - 1]
+        v_next = values[level.children]
+        for r, (o, j) in enumerate(zip(level.ordinals.tolist(), level.states.tolist())):
+            w = level.weights[r]
             supp = np.flatnonzero(w > 0.0)
             best_q = None
-            best_u = None
-            for u in m.admissible_actions(t, node.state):
-                k = m.action_index(u)
-                cvec = m.cost[t - 1, j, k]
+            best_k = None
+            for k in np.flatnonzero(m.admissible[t - 1, j]).tolist():
+                cvec = cost[j, k]
                 f = np.zeros(n_params)
                 if t == m.horizon:
                     f[supp] = cvec[supp]
                 else:
-                    v_next = np.zeros(n_states)
-                    for l, y in enumerate(m.states):
-                        child = graph.child(node, u, y)
-                        if child is not None:
-                            v_next[l] = values[child.ordinal]
-                    for i in supp:
-                        f[i] = cvec[i] + crit.sigma.evaluate(v_next, m.kernel[i, j, k])
+                    for i in supp.tolist():
+                        f[i] = cvec[i] + crit.sigma.evaluate(v_next[r, k], m.kernel[i, j, k])
                 q = crit.rho_hat.evaluate(f, w)
                 if best_q is None or q < best_q:
                     best_q = q
-                    best_u = u
-            if best_u is None:
-                raise DomainError(f"no admissible action at (t={t}, {node.state})")
-            values[node.ordinal] = best_q
-            argmin[node.id] = best_u
+                    best_k = k
+            if best_k is None:
+                raise DomainError(f"no admissible action at (t={t}, {m.states[j]})")
+            values[o] = best_q
+            argmin[graph.nodes[o].id] = m.actions[best_k]
 
     table = ValueTable(
         values={n.id: float(values[n.ordinal]) for n in graph.nodes},

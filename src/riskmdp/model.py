@@ -67,6 +67,31 @@ def _normalize_exact(vec: np.ndarray) -> np.ndarray:
     raise DomainError("normalization did not converge")
 
 
+def _normalize_rows(rows: np.ndarray) -> np.ndarray:
+    """_normalize_exact applied to each row of a 2-D array, bit for bit.
+
+    The divide and the argmax fold run on all rows at once. Rows that still
+    miss an exact 1.0, or cannot be normalized, go through _normalize_exact
+    from the original row in row order, so the first row that fails raises
+    the DomainError the one-row loop would have raised.
+    """
+    rows = np.asarray(rows, dtype=float)
+    s = rows.sum(axis=1)
+    ok = (s > 0.0) & np.isfinite(s)
+    # x / 1.0 == x, so rows that already sum to 1.0 come through unchanged.
+    out = rows / np.where(ok, s, 1.0)[:, None]
+    r = np.flatnonzero(ok)
+    j = out.argmax(axis=1)
+    for _ in range(4):
+        d = 1.0 - out[r].sum(axis=1)
+        live = d != 0.0
+        r, d = r[live], d[live]
+        out[r, j[r]] += d
+    for i in sorted(r.tolist() + np.flatnonzero(~ok).tolist()):
+        out[i] = _normalize_exact(rows[i])
+    return out
+
+
 def _readonly(a: np.ndarray) -> np.ndarray:
     a = np.asarray(a, dtype=float)
     a.setflags(write=False)
@@ -95,6 +120,18 @@ class Belief:
         if np.any(w < 0) or not np.all(np.isfinite(w)):
             raise DomainError("belief weights must be finite and nonnegative")
         object.__setattr__(self, "weights", _readonly(_normalize_exact(w)))
+
+    @classmethod
+    def _normalized(cls, params: tuple[str, ...], weights: np.ndarray) -> "Belief":
+        """Wrap read-only weights that _normalize_exact already produced.
+
+        Skips the checks and the normalization, which would return the
+        weights unchanged.
+        """
+        b = object.__new__(cls)
+        object.__setattr__(b, "params", params)
+        object.__setattr__(b, "weights", weights)
+        return b
 
     @classmethod
     def from_mapping(cls, mapping: Mapping[str, float], params: Sequence[str] | None = None) -> "Belief":

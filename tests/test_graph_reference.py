@@ -1,0 +1,125 @@
+"""The level-batched belief-graph builder against the per-edge reference.
+
+The reference is the builder the level-batched one replaced: one
+predictive, one Bayes update and one normalized Belief per edge, interned
+by an f-string fingerprint. The two must agree bit for bit.
+"""
+
+import json
+from types import SimpleNamespace
+
+import numpy as np
+import pytest
+
+from riskmdp import (
+    BeliefNode,
+    bayes_update,
+    build_reachable_belief_graph,
+    gen_clinical_trials_model,
+    graph_to_json,
+    parse_model,
+    predictive_next_state,
+)
+
+from conftest import DATA, random_instance
+from test_belief import absorbing_variant
+
+
+def reference_fingerprint(t, state, weights):
+    coords = ",".join(f"{w:.10f}" for w in np.asarray(weights) + 0.0)
+    return f"t={t}|x={state}|xi={coords}"
+
+
+def reference_graph(m):
+    """Breadth-first, one edge at a time; returns (nodes, edges)."""
+    nodes: list[BeliefNode] = []
+    by_key: dict[str, int] = {}
+    edges: dict[tuple[int, str, str], int] = {}
+
+    def intern(t, state, belief):
+        key = reference_fingerprint(t, state, belief.weights)
+        if key not in by_key:
+            by_key[key] = len(nodes)
+            nodes.append(BeliefNode(id=key, t=t, state=state, belief=belief, ordinal=len(nodes)))
+        return by_key[key]
+
+    frontier = [intern(1, m.initial_state, m.prior)]
+    for t in range(1, m.horizon):
+        nxt: list[int] = []
+        seen: set[int] = set()
+        for no in frontier:
+            node = nodes[no]
+            for u in m.admissible_actions(t, node.state):
+                pred = predictive_next_state(m, node.belief, node.state, u)
+                for l, y in enumerate(m.states):
+                    if pred[l] <= 0.0:
+                        continue
+                    co = intern(t + 1, y, bayes_update(m, node.belief, node.state, u, y))
+                    edges[(no, u, y)] = co
+                    if co not in seen:
+                        seen.add(co)
+                        nxt.append(co)
+        frontier = nxt
+    return nodes, edges
+
+
+def assert_matches_reference(m):
+    g = build_reachable_belief_graph(m)
+    nodes, edges = reference_graph(m)
+    ref = SimpleNamespace(root=nodes[0], nodes=nodes, edges=edges)
+    assert json.dumps(graph_to_json(g)) == json.dumps(graph_to_json(ref))
+    assert len(g.nodes) == len(nodes)
+    for a, b in zip(g.nodes, nodes):
+        assert (a.id, a.t, a.state, a.ordinal) == (b.id, b.t, b.state, b.ordinal)
+        assert a.belief.weights.tobytes() == b.belief.weights.tobytes()
+    assert g.edges == edges
+    assert list(g.edges) == list(edges)
+    for t in range(0, m.horizon + 2):
+        assert [n.ordinal for n in g.nodes_at(t)] == [n.ordinal for n in nodes if n.t == t]
+
+    # The level arrays describe the same graph as the label-keyed edges.
+    assert len(g.levels) == m.horizon
+    for level in g.levels:
+        at_t = g.nodes_at(level.t)
+        assert level.ordinals.tolist() == [n.ordinal for n in at_t]
+        assert level.states.tolist() == [m.state_index(n.state) for n in at_t]
+        assert level.weights.tobytes() == b"".join(n.belief.weights.tobytes() for n in at_t)
+        assert level.children.shape == (len(at_t), len(m.actions), len(m.states))
+        for r, o in enumerate(level.ordinals.tolist()):
+            for k, u in enumerate(m.actions):
+                for l, y in enumerate(m.states):
+                    assert level.children[r, k, l] == edges.get((o, u, y), -1)
+
+
+def test_sample_model(sample_model):
+    assert_matches_reference(sample_model)
+
+
+def test_zero_probability_transition_is_pruned(sample_model):
+    m = absorbing_variant(sample_model)
+    assert_matches_reference(m)
+    g = build_reachable_belief_graph(m)
+    assert g.levels[0].children[0, m.action_index("a1"), m.state_index("s1")] == -1
+
+
+def test_negative_zero_kernel_entry():
+    # -0.0 passes validation and survives the Bayes update as a -0.0 weight;
+    # the fingerprint must still print it as 0.
+    doc = json.loads((DATA / "sample_model.json").read_text())
+    doc["kernel"]["th1"]["s0"]["a0"] = {"s0": 1.0, "s1": -0.0}
+    m = parse_model(json.dumps(doc))
+    assert_matches_reference(m)
+    g = build_reachable_belief_graph(m)
+    child = g.child(g.root, "a0", "s1")
+    assert np.signbit(child.belief.weights[0])
+    assert child.id == "t=2|x=s1|xi=0.0000000000,1.0000000000"
+
+
+@pytest.mark.parametrize("horizon", [3, 4, 5, 6, 7])
+def test_dose_finding(horizon):
+    assert_matches_reference(gen_clinical_trials_model(doses=(1, 2, 3, 4), theta_grid=(1, 2, 3), horizon=horizon))
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_random_instance(seed):
+    assert_matches_reference(random_instance(seed, allow_restricted=True))
