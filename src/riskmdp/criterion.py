@@ -70,13 +70,25 @@ def _mean_under(values: np.ndarray, weights: np.ndarray) -> float:
 
 
 def _certainty_equivalent(kappa: float, values: np.ndarray, weights: np.ndarray) -> float:
-    """(1/kappa) log sum w_i exp(kappa v_i), max-shifted, zero-mass atoms excluded."""
+    """(1/kappa) log sum w_i exp(kappa v_i), zero-mass atoms excluded.
+
+    Computed as vmax + log1p(s) / kappa with s = sum w_i expm1(kappa (v_i - vmax)).
+    The shift by vmax keeps every exponent <= 0, so large kappa cannot
+    overflow; expm1/log1p keep the O(kappa) terms that exp/log round away, so
+    at small kappa the result stays above the mean, by about kappa * Var / 2.
+    When s < -1/2, 1 + s cancels, and log sum w_i exp(kappa (v_i - vmax)) is
+    the accurate form instead.
+    """
     w = np.asarray(weights, dtype=float)
     v = np.asarray(values, dtype=float)
     mask = w > 0.0
-    z = kappa * v[mask]
-    m = float(z.max())
-    return (m + math.log(float(np.dot(w[mask], np.exp(z - m))))) / kappa
+    w = w[mask]
+    v = v[mask]
+    vmax = float(v.max())
+    z = kappa * (v - vmax)
+    s = float(np.dot(w, np.expm1(z)))
+    log_mean_exp = math.log1p(s) if s >= -0.5 else math.log(float(np.dot(w, np.exp(z))))
+    return vmax + log_mean_exp / kappa
 
 
 def make_expectation() -> CriterionSpec:

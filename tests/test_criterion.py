@@ -1,6 +1,7 @@
 """Risk map values, the four axioms, custom registration, and JSON parsing."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -55,6 +56,37 @@ class TestExpectation:
         a = crit.rho_hat.evaluate(np.array([1.0, 999.0, 3.0]), w)
         b = crit.rho_hat.evaluate(np.array([1.0, -999.0, 3.0]), w)
         assert a == b == 2.0
+
+
+
+@st.composite
+def dyadic_atoms(draw):
+    """Nonnegative values, like costs-to-go, and weights k/1024 summing to exactly 1.
+
+    Values are 0 or at least 1e-6, so kappa * (v - vmax) stays a normal float.
+    """
+    n = draw(st.integers(1, 6))
+    cuts = sorted(draw(st.lists(st.integers(0, 1024), min_size=n - 1, max_size=n - 1)))
+    value = st.one_of(st.just(0.0), st.floats(1e-6, 20.0))
+    vals = draw(st.lists(value, min_size=n, max_size=n))
+    return np.array(vals), np.diff([0, *cuts, 1024]) / 1024.0
+
+
+log_kappa = st.floats(-14.0, 3.0).map(lambda e: 10.0 ** e)
+
+
+def exact_moments(vals, w):
+    """Mean, variance and largest deviation from the mean of the atoms with
+    mass, in exact rationals."""
+    atoms = [(Fraction(float(p)), Fraction(float(x))) for p, x in zip(w, vals) if p > 0]
+    mean = sum(p * x for p, x in atoms)
+    var = sum(p * (x - mean) ** 2 for p, x in atoms)
+    return mean, var, max(abs(x - mean) for _, x in atoms)
+
+
+def ulp_of_largest(vals, w):
+    """Rounding scale of a certainty equivalent: one ulp of its largest atom."""
+    return Fraction(float(np.spacing(vals[w > 0].max())))
 
 
 class TestEntropic:
@@ -137,6 +169,56 @@ class TestEntropic:
         spread = float(vals.max() - vals.min())
         gap = crit.rho_hat.evaluate(vals, w) - mean
         assert -1e-12 <= gap <= kappa * spread * spread / 8.0 + 1e-12
+
+
+    def test_small_kappa_stays_above_the_mean(self):
+        # The exp/log form returned 5.8e-8 below the mean at kappa = 1e-10
+        # and 4.4e-6 above it at 1e-12; the truth is kappa * Var / 2.
+        vals, w = np.array([1.0, 2.0, 3.0]), np.array([0.2, 0.3, 0.5])
+        mean, var, _ = exact_moments(vals, w)
+        for kappa in (1e-10, 1e-12):
+            gap = Fraction(make_entropic(kappa).sigma.evaluate(vals, w)) - mean
+            assert gap > 0
+            assert abs(gap - Fraction(kappa) * var / 2) <= 4 * ulp_of_largest(vals, w)
+
+    @settings(max_examples=300, deadline=None)
+    @given(dyadic_atoms(), log_kappa)
+    def test_property_dominates_mean_to_4_ulp(self, vw, kappa):
+        vals, w = vw
+        mean, _, _ = exact_moments(vals, w)
+        got = make_entropic(kappa).rho_hat.evaluate(vals, w)
+        assert Fraction(got) >= mean - 4 * ulp_of_largest(vals, w)
+
+    @settings(max_examples=300, deadline=None)
+    @given(dyadic_atoms(), st.floats(-14.0, -4.0).map(lambda e: 10.0 ** e))
+    def test_property_small_kappa_expansion(self, vw, kappa):
+        # CE = mean + kappa Var/2 + kappa^2 mu3/6 + O(kappa^3). With values in
+        # [0, 20], kappa * R <= 2e-3, so kappa^2 R^3 bounds everything past
+        # the Var term; rounding adds at most 4 ulp, as above.
+        vals, w = vw
+        mean, var, dev = exact_moments(vals, w)
+        k = Fraction(kappa)
+        gap = Fraction(make_entropic(kappa).rho_hat.evaluate(vals, w)) - mean - k * var / 2
+        assert abs(gap) <= k * k * dev ** 3 + 4 * ulp_of_largest(vals, w)
+
+    def test_large_kappa(self):
+        crit = make_entropic(1e3)
+        w = np.array([0.2, 0.3, 0.5])
+        # The two lower atoms underflow: CE = 3 + log(0.5) / kappa.
+        got = crit.sigma.evaluate(np.array([1.0, 2.0, 3.0]), w)
+        assert abs(got - (3.0 + math.log(0.5) / 1e3)) <= 4 * np.spacing(3.0)
+        # Near ties every atom counts; the plain shifted log-sum-exp is exact
+        # enough at this kappa to serve as the reference.
+        vals = np.array([1.0, 1.001, 1.002])
+        want = 1.002 + math.log(float(np.dot(w, np.exp(1e3 * (vals - 1.002))))) / 1e3
+        assert abs(crit.sigma.evaluate(vals, w) - want) <= 4 * np.spacing(1.002)
+
+    def test_large_kappa_small_top_weight(self):
+        # sum w expm1(kappa (v - vmax)) is about -1 + 1e-6 here, and log1p of
+        # it would be off by 1.7e4 ulp; the direct log-sum-exp is exact enough.
+        vals, w = np.array([0.0, 1.0]), np.array([1 - 2.0**-20, 2.0**-20])
+        want = 1.0 + math.log(w[0] * math.exp(-20.0) + w[1]) / 20.0
+        assert abs(make_entropic(20.0).sigma.evaluate(vals, w) - want) <= 4 * np.spacing(1.0)
 
 
 def broken_max_criterion() -> CriterionSpec:
