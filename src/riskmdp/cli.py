@@ -54,7 +54,7 @@ def _build_parser() -> _Parser:
     def add(name: str, **kwargs) -> argparse.ArgumentParser:
         sp = sub.add_parser(name, **kwargs)
         sp.add_argument("--threads", type=int, default=1,
-                        help="worker count; output is bit-identical for any value")
+                        help="accepted for compatibility; currently has no effect")
         return sp
 
     sp = add("validate", help="check a model document against every invariant")
