@@ -213,25 +213,29 @@ def build_reachable_belief_graph(m: ModelSpec, node_cap: int = DEFAULT_NODE_CAP)
         post = _normalize_rows(rows)
         src, act, nxt = np.nonzero(live)
         nxt_list = nxt.tolist()
-        keys = [fmt % (t + 1, m.states[y], *w) for y, w in zip(nxt_list, (post + 0.0).tolist())]
-        index = {key: i for i, key in enumerate(dict.fromkeys(keys))}
+        # Key -> index of the new node, in order of first occurrence.
+        index: dict[str, int] = {}
+        local = [index.setdefault(fmt % (t + 1, m.states[y], *w), len(index))
+                 for y, w in zip(nxt_list, (post + 0.0).tolist())]
         if len(nodes) + len(index) > node_cap:
             raise CapExceeded(f"belief graph would exceed node cap {node_cap}")
-        local = np.array([index[key] for key in keys], dtype=np.intp)
-        dst = len(nodes) + local
-        children[src, act, nxt] = dst
-
         _, firsts = np.unique(local, return_index=True)
+        children[src, act, nxt] = len(nodes) + np.array(local)
+
+        # Edges share their endpoints' ordinal objects rather than holding
+        # one int object each.
+        parents = [n.ordinal for n in nodes[first:]]
         xs = nxt[firsts]
         weights = post[firsts]
         weights.setflags(write=False)
-        for r, e in enumerate(firsts.tolist()):
-            nodes.append(BeliefNode(id=keys[e], t=t + 1, state=m.states[nxt_list[e]],
+        for r, (key, e) in enumerate(zip(index, firsts.tolist())):
+            nodes.append(BeliefNode(id=key, t=t + 1, state=m.states[nxt_list[e]],
                                     belief=Belief._normalized(m.parameters, weights[r]),
                                     ordinal=len(nodes)))
-        labels = zip((first + src).tolist(), [m.actions[k] for k in act.tolist()],
+        new = [n.ordinal for n in nodes[len(nodes) - len(index):]]
+        labels = zip([parents[r] for r in src.tolist()], [m.actions[k] for k in act.tolist()],
                      [m.states[y] for y in nxt_list])
-        edges.update(zip(labels, dst.tolist()))
+        edges.update(zip(labels, [new[i] for i in local]))
 
     return BeliefGraph(model=m, nodes=tuple(nodes), edges=edges, root=root, levels=tuple(levels))
 
