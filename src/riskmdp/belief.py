@@ -217,22 +217,23 @@ def build_reachable_belief_graph(m: ModelSpec, node_cap: int = DEFAULT_NODE_CAP)
         index: dict[str, int] = {}
         local = [index.setdefault(fmt % (t + 1, m.states[y], *w), len(index))
                  for y, w in zip(nxt_list, (post + 0.0).tolist())]
-        if len(nodes) + len(index) > node_cap:
+        base = len(nodes)
+        if base + len(index) > node_cap:
             raise CapExceeded(f"belief graph would exceed node cap {node_cap}")
         _, firsts = np.unique(local, return_index=True)
-        children[src, act, nxt] = len(nodes) + np.array(local)
+        children[src, act, nxt] = base + np.array(local)
 
-        # Edges share their endpoints' ordinal objects rather than holding
-        # one int object each.
-        parents = [n.ordinal for n in nodes[first:]]
         xs = nxt[firsts]
         weights = post[firsts]
         weights.setflags(write=False)
         for r, (key, e) in enumerate(zip(index, firsts.tolist())):
             nodes.append(BeliefNode(id=key, t=t + 1, state=m.states[nxt_list[e]],
                                     belief=Belief._normalized(m.parameters, weights[r]),
-                                    ordinal=len(nodes)))
-        new = [n.ordinal for n in nodes[len(nodes) - len(index):]]
+                                    ordinal=base + r))
+        # Edges reuse the nodes' ordinal objects rather than holding a new
+        # int object each.
+        parents = [n.ordinal for n in nodes[first:base]]
+        new = [n.ordinal for n in nodes[base:]]
         labels = zip([parents[r] for r in src.tolist()], [m.actions[k] for k in act.tolist()],
                      [m.states[y] for y in nxt_list])
         edges.update(zip(labels, [new[i] for i in local]))
