@@ -11,11 +11,7 @@ the reported gaps are against the true optimum, not a heuristic.
 import argparse
 import time
 
-import numpy as np
-
 from riskmdp import (
-    Belief,
-    ModelSpec,
     brute_force_optimum,
     build_reachable_belief_graph,
     eval_policy_recursive,
@@ -24,31 +20,7 @@ from riskmdp import (
     solve_dp,
     to_history_policy,
 )
-from riskmdp.model import _normalize_exact
-
-
-def random_instance(seed: int) -> ModelSpec:
-    rng = np.random.default_rng(seed)
-    nx = int(rng.integers(1, 3))
-    nu = int(rng.integers(1, 3))
-    nth = int(rng.integers(1, 4))
-    horizon = int(rng.integers(1, 4))
-    states = tuple(f"x{i}" for i in range(nx))
-    actions = tuple(f"u{i}" for i in range(nu))
-    params = tuple(f"th{i}" for i in range(nth))
-    kernel = np.zeros((nth, nx, nu, nx))
-    for i in range(nth):
-        for j in range(nx):
-            for k in range(nu):
-                kernel[i, j, k] = _normalize_exact(
-                    rng.integers(1, 10, size=nx).astype(float))
-    cost = rng.integers(0, 9, size=(horizon, nx, nu, nth)).astype(float) * 0.5
-    prior = Belief(params, rng.integers(1, 10, size=nth).astype(float))
-    return ModelSpec(
-        horizon=horizon, states=states, actions=actions, parameters=params,
-        prior=prior, kernel=kernel, cost=cost,
-        initial_state=states[int(rng.integers(0, nx))],
-    )
+from riskmdp.model import random_instance
 
 
 def main() -> None:
@@ -64,7 +36,7 @@ def main() -> None:
     worst_policy = {name: 0.0 for name, _ in criteria}
     started = time.monotonic()
     for seed in range(args.seed0, args.seed0 + args.instances):
-        m = random_instance(seed)
+        m = random_instance(seed, allow_restricted=False)
         graph = build_reachable_belief_graph(m)
         for name, crit in criteria:
             table, qmp = solve_dp(m, crit, graph)
@@ -81,7 +53,7 @@ def main() -> None:
         print(f"{name:<16}{worst[name]:>24.3e}{worst_policy[name]:>18.3e}")
 
     # small-kappa behaviour on one fixed instance
-    m = random_instance(args.seed0)
+    m = random_instance(args.seed0, allow_restricted=False)
     graph = build_reachable_belief_graph(m)
     root_exp, _ = solve_dp(m, make_expectation(), graph)
     print(f"\nkappa sweep on seed {args.seed0} "

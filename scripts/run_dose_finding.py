@@ -10,8 +10,6 @@ import argparse
 import json
 from pathlib import Path
 
-import numpy as np
-
 from riskmdp import (
     build_reachable_belief_graph,
     gen_clinical_trials_model,

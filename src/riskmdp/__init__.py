@@ -25,12 +25,10 @@ from .criterion import (
     MarginalRiskMap,
     TransitionRiskMap,
     check_axioms,
-    get_criterion,
     make_custom,
     make_entropic,
     make_expectation,
     parse_criterion,
-    register_criterion,
 )
 from .engine import (
     HistoryPolicy,
@@ -106,7 +104,6 @@ __all__ = [
     "eval_policy_paths",
     "eval_policy_recursive",
     "gen_clinical_trials_model",
-    "get_criterion",
     "graph_to_json",
     "logistic_response",
     "make_custom",
@@ -119,7 +116,6 @@ __all__ = [
     "policy_to_json",
     "posterior_from_history",
     "predictive_next_state",
-    "register_criterion",
     "serialize_model",
     "simulate_runs",
     "solve_dp",

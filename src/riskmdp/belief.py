@@ -8,7 +8,7 @@ observed state/action history, so planning happens on the graph of
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -16,6 +16,9 @@ from .errors import CapExceeded, DomainError, ZeroProbabilityObservation
 from .model import Belief, ModelSpec, _normalize_rows
 
 DEDUP_DECIMALS = 10
+# A positive coordinate prints as zero at DEDUP_DECIMALS digits exactly when
+# it is below this float (which lies just above 5e-11).
+HIDDEN_MASS = 0.5 * 10.0 ** -DEDUP_DECIMALS
 DEFAULT_NODE_CAP = 1_000_000
 
 
@@ -99,14 +102,25 @@ def posterior_from_history(m: ModelSpec, history: Sequence[str], actions: Sequen
     return Belief(m.parameters, un)
 
 
-def _fingerprint_format(n_params: int) -> str:
-    return "t=%s|x=%s|xi=" + ",".join([f"%.{DEDUP_DECIMALS}f"] * n_params)
+def _fingerprints(t: int, states: Iterable[str], weights: np.ndarray) -> Iterator[str]:
+    """Node keys for the belief rows of `weights` at time t, one per row, lazily.
+
+    Coordinates are rounded to DEDUP_DECIMALS digits. A positive coordinate
+    that rounds to zero would let the row merge with a belief that has ruled
+    that parameter out, so such rows also carry their support as a bitmask,
+    e.g. "|supp=11".
+    """
+    fmt = "t=%s|x=%s|xi=" + ",".join([f"%.{DEDUP_DECIMALS}f"] * weights.shape[1])
+    hidden = ((weights > 0.0) & (weights < HIDDEN_MASS)).any(axis=1).tolist()
+    for x, w, h in zip(states, (weights + 0.0).tolist(), hidden):  # + 0.0 prints -0.0 as 0
+        key = fmt % (t, x, *w)
+        yield key + "|supp=" + "".join("1" if c > 0.0 else "0" for c in w) if h else key
 
 
 def belief_fingerprint(t: int, state: str, weights: np.ndarray) -> str:
-    """Canonical node key: coordinates rounded to 10 decimal digits."""
-    w = np.asarray(weights) + 0.0  # prints -0.0 as 0
-    return _fingerprint_format(len(w)) % (t, state, *w.tolist())
+    """Canonical node key: coordinates rounded to 10 decimal digits, plus the
+    support when a positive coordinate rounds to zero."""
+    return next(_fingerprints(t, [state], np.asarray(weights, dtype=float)[None, :]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -187,7 +201,6 @@ def build_reachable_belief_graph(m: ModelSpec, node_cap: int = DEFAULT_NODE_CAP)
     if m.horizon > 1 and m.prior.params != m.parameters:
         raise DomainError("belief is not over this model's parameters")
 
-    fmt = _fingerprint_format(len(m.parameters))
     root = BeliefNode(id=belief_fingerprint(1, m.initial_state, m.prior.weights), t=1,
                       state=m.initial_state, belief=m.prior, ordinal=0)
     nodes = [root]
@@ -215,8 +228,8 @@ def build_reachable_belief_graph(m: ModelSpec, node_cap: int = DEFAULT_NODE_CAP)
         nxt_list = nxt.tolist()
         # Key -> index of the new node, in order of first occurrence.
         index: dict[str, int] = {}
-        local = [index.setdefault(fmt % (t + 1, m.states[y], *w), len(index))
-                 for y, w in zip(nxt_list, (post + 0.0).tolist())]
+        local = [index.setdefault(key, len(index))
+                 for key in _fingerprints(t + 1, (m.states[y] for y in nxt_list), post)]
         base = len(nodes)
         if base + len(index) > node_cap:
             raise CapExceeded(f"belief graph would exceed node cap {node_cap}")

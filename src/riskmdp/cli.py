@@ -29,7 +29,6 @@ from .engine import (
 from .errors import (
     CapExceeded,
     DomainError,
-    RiskMdpError,
     SchemaError,
     ValidationError,
     ZeroProbabilityObservation,
@@ -140,6 +139,18 @@ def _load_policy_doc(path: str) -> dict:
         raise SchemaError(f"policy is not valid JSON: {e}") from None
 
 
+def _load_history_policy(m, path: str, node_cap: int) -> HistoryPolicy:
+    """Read a policy file; a quasi_markov policy is unfolded over the model's belief graph."""
+    doc = _load_policy_doc(path)
+    graph = None
+    if isinstance(doc, dict) and doc.get("type") == "quasi_markov":
+        graph = build_reachable_belief_graph(m, node_cap=node_cap)
+    pol = parse_policy(doc, m, graph)
+    if isinstance(pol, QuasiMarkovPolicy):
+        pol = to_history_policy(pol, m)
+    return pol
+
+
 def _emit(payload: str, out: str | None) -> None:
     if out:
         Path(out).write_text(payload)
@@ -179,23 +190,16 @@ def _dispatch(args) -> int:
 
     if cmd == "validate":
         try:
-            m = _load_model(args.model)
+            valid, issues = True, validate_model(_load_model(args.model))
         except ValidationError as e:
-            report = {
-                "valid": False,
-                "issues": [{"severity": i.severity, "code": i.code, "message": i.message}
-                           for i in e.issues],
-            }
-            sys.stdout.write(json.dumps(report, indent=2) + "\n")
-            return 1
-        issues = validate_model(m)
+            valid, issues = False, e.issues
         report = {
-            "valid": True,
+            "valid": valid,
             "issues": [{"severity": i.severity, "code": i.code, "message": i.message}
                        for i in issues],
         }
         sys.stdout.write(json.dumps(report, indent=2) + "\n")
-        return 0
+        return 0 if valid else 1
 
     if cmd == "solve":
         m = _load_model(args.model)
@@ -211,13 +215,7 @@ def _dispatch(args) -> int:
     if cmd == "evaluate":
         m = _load_model(args.model)
         crit = _load_criterion(args.criterion)
-        doc = _load_policy_doc(args.policy)
-        graph = None
-        if isinstance(doc, dict) and doc.get("type") == "quasi_markov":
-            graph = build_reachable_belief_graph(m, node_cap=args.node_cap)
-        pol = parse_policy(doc, m, graph)
-        if isinstance(pol, QuasiMarkovPolicy):
-            pol = to_history_policy(pol, m)
+        pol = _load_history_policy(m, args.policy, args.node_cap)
         value = eval_policy_recursive(m, crit, pol)
         _emit(json.dumps({"value": value, "criterion": crit.describe()}, indent=2), args.out)
         return 0
@@ -233,13 +231,7 @@ def _dispatch(args) -> int:
 
     if cmd == "simulate":
         m = _load_model(args.model)
-        doc = _load_policy_doc(args.policy)
-        graph = None
-        if isinstance(doc, dict) and doc.get("type") == "quasi_markov":
-            graph = build_reachable_belief_graph(m, node_cap=args.node_cap)
-        pol = parse_policy(doc, m, graph)
-        if isinstance(pol, QuasiMarkovPolicy):
-            pol = to_history_policy(pol, m)
+        pol = _load_history_policy(m, args.policy, args.node_cap)
         _stage(f"simulate: {args.runs} runs under theta*={args.theta_star}")
         trajs = simulate_runs(m, pol, args.theta_star, runs=args.runs, seed=args.seed)
         if args.out:

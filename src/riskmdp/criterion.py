@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -193,9 +193,6 @@ def check_axioms(crit: CriterionSpec, samples: int = DEFAULT_AXIOM_SAMPLES, seed
     return AxiomReport(samples=samples, seed=seed, violations=tuple(violations))
 
 
-_registry: dict[str, CriterionSpec] = {}
-
-
 def make_custom(
     name: str,
     rho_hat: Callable[[np.ndarray, np.ndarray], float],
@@ -204,7 +201,7 @@ def make_custom(
     samples: int = DEFAULT_AXIOM_SAMPLES,
     seed: int = 0,
 ) -> CriterionSpec:
-    """Assemble and register a user-supplied criterion.
+    """Assemble a user-supplied criterion.
 
     The pair must pass check_axioms with zero violations before it is
     accepted; a DomainError naming the first failed axiom is raised otherwise.
@@ -223,21 +220,7 @@ def make_custom(
         first = rep.violations[0]
         raise DomainError(
             f"custom criterion {name!r} violates the {first.axiom} axiom on {first.map_name}: {first.detail}")
-    _registry[name] = spec
     return spec
-
-
-def register_criterion(spec: CriterionSpec) -> None:
-    if not spec.name:
-        raise DomainError("only named custom criteria can be registered")
-    _registry[spec.name] = spec
-
-
-def get_criterion(name: str) -> CriterionSpec:
-    try:
-        return _registry[name]
-    except KeyError:
-        raise DomainError(f"no registered criterion named {name!r}") from None
 
 
 def parse_criterion(source: str | dict) -> CriterionSpec:

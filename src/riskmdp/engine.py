@@ -27,7 +27,7 @@ import numpy as np
 from .belief import BeliefGraph, BeliefNode, posterior_from_history, predictive_next_state
 from .criterion import CriterionSpec
 from .errors import CapExceeded, DomainError, SchemaError
-from .model import Belief, ModelSpec
+from .model import ModelSpec
 
 DEFAULT_PATH_CAP = 10_000_000
 DEFAULT_POLICY_CAP = 1_000_000
@@ -62,6 +62,37 @@ class ValueTable:
     root_value: float
 
 
+def _stage_plus_sigma(
+    crit: CriterionSpec, cvec: np.ndarray, kernel_jk: np.ndarray,
+    params: np.ndarray, v_next: np.ndarray | None,
+) -> np.ndarray:
+    """The one-step Bellman operator, one entry per parameter.
+
+    For each index i in the integer array params: the stage cost cvec[i]
+    plus the transition risk map of the continuation values v_next under the
+    next-state distribution kernel_jk[i]. At the horizon (v_next is None) the
+    continuation is identically zero and the risk map is not called. Entries
+    outside params are zero, so the marginal risk map ignores them.
+    """
+    f = np.zeros(len(cvec))
+    if v_next is None:
+        f[params] = cvec[params]
+    else:
+        for i in params.tolist():
+            f[i] = cvec[i] + crit.sigma.evaluate(v_next, kernel_jk[i])
+    return f
+
+
+def _policy_step(m: ModelSpec, pol: HistoryPolicy, hist: tuple[str, ...]) -> tuple[str, int, int]:
+    """The policy's action at a history, checked admissible, with its state and action indices."""
+    t = len(hist)
+    x = hist[-1]
+    u = pol.action(hist)
+    if not m.is_admissible(t, x, u):
+        raise DomainError(f"policy action {u!r} not admissible at (t={t}, {x})")
+    return u, m.state_index(x), m.action_index(u)
+
+
 def solve_dp(m: ModelSpec, crit: CriterionSpec, graph: BeliefGraph) -> tuple[ValueTable, QuasiMarkovPolicy]:
     """Backward induction over the reachable belief graph, a level at a time.
 
@@ -72,7 +103,6 @@ def solve_dp(m: ModelSpec, crit: CriterionSpec, graph: BeliefGraph) -> tuple[Val
     continuation value is identically zero, so at t = horizon the transition
     term is skipped outright.
     """
-    n_params = len(m.parameters)
     # The extra last slot is the zero value gathered for a missing child (-1).
     values = np.zeros(len(graph.nodes) + 1)
     argmin: dict[str, str] = {}
@@ -80,20 +110,15 @@ def solve_dp(m: ModelSpec, crit: CriterionSpec, graph: BeliefGraph) -> tuple[Val
     for level in reversed(graph.levels):
         t = level.t
         cost = m.cost[t - 1]
-        v_next = values[level.children]
+        v_next = None if t == m.horizon else values[level.children]
         for r, (o, j) in enumerate(zip(level.ordinals.tolist(), level.states.tolist())):
             w = level.weights[r]
             supp = np.flatnonzero(w > 0.0)
             best_q = None
             best_k = None
             for k in np.flatnonzero(m.admissible[t - 1, j]).tolist():
-                cvec = cost[j, k]
-                f = np.zeros(n_params)
-                if t == m.horizon:
-                    f[supp] = cvec[supp]
-                else:
-                    for i in supp.tolist():
-                        f[i] = cvec[i] + crit.sigma.evaluate(v_next[r, k], m.kernel[i, j, k])
+                f = _stage_plus_sigma(crit, cost[j, k], m.kernel[:, j, k], supp,
+                                      None if v_next is None else v_next[r, k])
                 q = crit.rho_hat.evaluate(f, w)
                 if best_q is None or q < best_q:
                     best_q = q
@@ -154,6 +179,8 @@ def _coerce_history(m: ModelSpec, history: Sequence[str] | None) -> tuple[str, .
     hist = tuple(history)
     if not hist:
         raise DomainError("history must contain at least the current state")
+    if len(hist) > m.horizon:
+        raise DomainError(f"history of length {len(hist)} exceeds horizon {m.horizon}")
     return hist
 
 
@@ -176,27 +203,17 @@ def _recursive_value(
 ) -> float:
     t = len(hist)
     x = hist[-1]
-    if t > m.horizon:
-        raise DomainError(f"history of length {t} exceeds horizon {m.horizon}")
-    u = pol.action(hist)
-    if not m.is_admissible(t, x, u):
-        raise DomainError(f"policy action {u!r} not admissible at (t={t}, {x})")
+    u, j, k = _policy_step(m, pol, hist)
     xi = posterior_from_history(m, hist, acts)
-    j = m.state_index(x)
-    k = m.action_index(u)
-    cvec = m.cost[t - 1, j, k]
-    supp = np.flatnonzero(xi.weights > 0.0)
-    f = np.zeros(len(m.parameters))
-    if t == m.horizon:
-        f[supp] = cvec[supp]
-        return crit.rho_hat.evaluate(f, xi.weights)
-    pred = predictive_next_state(m, xi, x, u)
-    w = np.zeros(len(m.states))
-    for l, y in enumerate(m.states):
-        if pred[l] > 0.0:
-            w[l] = _recursive_value(m, crit, pol, hist + (y,), acts + (u,))
-    for i in supp:
-        f[i] = cvec[i] + crit.sigma.evaluate(w, m.kernel[i, j, k])
+    w = None
+    if t < m.horizon:
+        pred = predictive_next_state(m, xi, x, u)
+        w = np.zeros(len(m.states))
+        for l, y in enumerate(m.states):
+            if pred[l] > 0.0:
+                w[l] = _recursive_value(m, crit, pol, hist + (y,), acts + (u,))
+    f = _stage_plus_sigma(crit, m.cost[t - 1, j, k], m.kernel[:, j, k],
+                          np.flatnonzero(xi.weights > 0.0), w)
     return crit.rho_hat.evaluate(f, xi.weights)
 
 
@@ -215,8 +232,6 @@ def eval_policy_paths(
         raise DomainError("path oracle supports only the built-in criteria")
     hist = _coerce_history(m, history)
     t0 = len(hist)
-    if t0 > m.horizon:
-        raise DomainError(f"history of length {t0} exceeds horizon {m.horizon}")
     acts = _prefix_actions(pol, hist)
     xi = posterior_from_history(m, hist, acts)
 
@@ -231,12 +246,7 @@ def eval_policy_paths(
         prob = np.ones(n_params)
         csum = np.zeros(n_params)
         for s in range(t0, m.horizon + 1):
-            x_s = full[s - 1]
-            u_s = pol.action(full[:s])
-            if not m.is_admissible(s, x_s, u_s):
-                raise DomainError(f"policy action {u_s!r} not admissible at (t={s}, {x_s})")
-            j = m.state_index(x_s)
-            k = m.action_index(u_s)
+            _, j, k = _policy_step(m, pol, full[:s])
             csum += m.cost[s - 1, j, k]
             if s < m.horizon:
                 prob *= m.kernel[:, j, k, m.state_index(full[s])]
@@ -264,29 +274,20 @@ def eval_policy_decomposed(
     equals eval_policy_paths.
     """
     hist = _coerce_history(m, history)
-    t0 = len(hist)
-    if t0 > m.horizon:
-        raise DomainError(f"history of length {t0} exceeds horizon {m.horizon}")
-    acts = _prefix_actions(pol, hist)
-    xi = posterior_from_history(m, hist, acts)
+    xi = posterior_from_history(m, hist, _prefix_actions(pol, hist))
 
     def cost_to_go(i: int, h: tuple[str, ...]) -> float:
         t = len(h)
-        x = h[-1]
-        u = pol.action(h)
-        if not m.is_admissible(t, x, u):
-            raise DomainError(f"policy action {u!r} not admissible at (t={t}, {x})")
-        j = m.state_index(x)
-        k = m.action_index(u)
-        c = float(m.cost[t - 1, j, k, i])
-        if t == m.horizon:
-            return c
-        row = m.kernel[i, j, k]
-        w = np.zeros(len(m.states))
-        for l, y in enumerate(m.states):
-            if row[l] > 0.0:
-                w[l] = cost_to_go(i, h + (y,))
-        return c + crit.sigma.evaluate(w, row)
+        _, j, k = _policy_step(m, pol, h)
+        w = None
+        if t < m.horizon:
+            row = m.kernel[i, j, k]
+            w = np.zeros(len(m.states))
+            for l, y in enumerate(m.states):
+                if row[l] > 0.0:
+                    w[l] = cost_to_go(i, h + (y,))
+        f = _stage_plus_sigma(crit, m.cost[t - 1, j, k], m.kernel[:, j, k], np.array([i]), w)
+        return float(f[i])
 
     f = np.zeros(len(m.parameters))
     for i in np.flatnonzero(xi.weights > 0.0):

@@ -1,4 +1,4 @@
-"""Model specification: parsing, validation, serialization, and a dose-finding generator.
+"""Model specification: parsing, validation, serialization, and instance generators.
 
 A model describes a finite-horizon controlled Markov chain whose transition
 kernel and stage costs depend on an unknown parameter theta drawn from a
@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -400,11 +400,7 @@ def parse_model(text: str) -> ModelSpec:
         raise ValidationError(errors)
 
     # Renormalize exactly once, after the tolerance check passed.
-    kernel_n = kernel.copy()
-    for i in range(len(params)):
-        for j in range(len(states)):
-            for k in range(len(actions)):
-                kernel_n[i, j, k] = _normalize_exact(kernel[i, j, k])
+    kernel_n = _normalize_rows(kernel.reshape(-1, len(states))).reshape(kernel.shape)
     return ModelSpec(
         horizon=horizon,
         states=states,
@@ -607,4 +603,61 @@ def gen_clinical_trials_model(
         kernel=kernel,
         cost=cost,
         initial_state="0",
+    )
+
+
+def random_instance(
+    seed: int,
+    *,
+    n_states: int | None = None,
+    n_actions: int | None = None,
+    n_params: int | None = None,
+    horizon: int | None = None,
+    theta_free_costs: bool = False,
+    allow_restricted: bool = True,
+) -> ModelSpec:
+    """Small random model; sizes default to the ranges the exhaustive-search
+    comparisons use (up to 2 states, 2 actions, 3 parameters, horizon 3).
+
+    Kernel rows come from integer weights 1..9, so with two states every
+    entry is at least 1/18 and no transition is ever pruned.
+    """
+    rng = np.random.default_rng(seed)
+    nx = n_states if n_states is not None else int(rng.integers(1, 3))
+    nu = n_actions if n_actions is not None else int(rng.integers(1, 3))
+    nth = n_params if n_params is not None else int(rng.integers(1, 4))
+    T = horizon if horizon is not None else int(rng.integers(1, 4))
+    states = tuple(f"x{i}" for i in range(nx))
+    actions = tuple(f"u{i}" for i in range(nu))
+    params = tuple(f"th{i}" for i in range(nth))
+
+    kernel = np.zeros((nth, nx, nu, nx))
+    for i in range(nth):
+        for j in range(nx):
+            for k in range(nu):
+                a = rng.integers(1, 10, size=nx).astype(float)
+                kernel[i, j, k] = _normalize_exact(a)
+
+    cost = rng.integers(0, 9, size=(T, nx, nu, nth)).astype(float) * 0.5
+    if theta_free_costs:
+        cost = np.repeat(cost[:, :, :, :1], nth, axis=3)
+
+    admissible = np.ones((T, nx, nu), dtype=bool)
+    if allow_restricted and nu >= 2:
+        for t in range(T):
+            for j in range(nx):
+                if rng.random() < 0.25:
+                    admissible[t, j, int(rng.integers(0, nu))] = False
+
+    prior = Belief(params, rng.integers(1, 10, size=nth).astype(float))
+    return ModelSpec(
+        horizon=T,
+        states=states,
+        actions=actions,
+        parameters=params,
+        prior=prior,
+        kernel=kernel,
+        cost=cost,
+        initial_state=states[int(rng.integers(0, nx))],
+        admissible=admissible,
     )

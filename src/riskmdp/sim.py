@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .belief import bayes_update
-from .engine import HistoryPolicy
+from .engine import HistoryPolicy, _policy_step
 from .errors import DomainError
 from .model import Belief, ModelSpec
 
@@ -63,13 +63,9 @@ def simulate_runs(
         costs: list[float] = []
         for t in range(1, m.horizon + 1):
             x = hist[-1]
-            u = pol.action(hist)
-            if not m.is_admissible(t, x, u):
-                raise DomainError(f"policy action {u!r} not admissible at (t={t}, {x})")
+            u, j, k = _policy_step(m, pol, hist)
             beliefs.append(xi)
             actions.append(u)
-            j = m.state_index(x)
-            k = m.action_index(u)
             costs.append(float(m.cost[t - 1, j, k, i_star]))
             row = m.kernel[i_star, j, k]
             y = _draw_state(rng, row, m.states)

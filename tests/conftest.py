@@ -1,7 +1,8 @@
-"""Shared fixtures, random instance generators, and the acceptance summary hook.
+"""Shared fixtures, random policy and history generators, and the acceptance summary hook.
 
-The generators draw kernel rows and priors from small integer grids so every
-probability is bounded well away from zero and renormalization is exact.
+random_instance is the library's generator (riskmdp.model), re-exported here
+for the test modules and for the benchmark's input generator, which loads it
+from this file.
 """
 
 from __future__ import annotations
@@ -12,8 +13,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from riskmdp import Belief, HistoryPolicy, ModelSpec, parse_model
-from riskmdp.model import _normalize_exact
+from riskmdp import HistoryPolicy, ModelSpec, parse_model
+from riskmdp.model import random_instance  # noqa: F401  (re-exported)
 
 DATA = Path(__file__).parent / "data"
 
@@ -25,63 +26,6 @@ def rel_close(a: float, b: float, tol: float) -> bool:
 @pytest.fixture(scope="session")
 def sample_model() -> ModelSpec:
     return parse_model((DATA / "sample_model.json").read_text())
-
-
-def random_instance(
-    seed: int,
-    *,
-    n_states: int | None = None,
-    n_actions: int | None = None,
-    n_params: int | None = None,
-    horizon: int | None = None,
-    theta_free_costs: bool = False,
-    allow_restricted: bool = True,
-) -> ModelSpec:
-    """Small random model; sizes default to the ranges the exhaustive-search
-    comparisons use (up to 2 states, 2 actions, 3 parameters, horizon 3).
-
-    Kernel rows come from integer weights 1..9, so with two states every
-    entry is at least 1/18 and no transition is ever pruned.
-    """
-    rng = np.random.default_rng(seed)
-    nx = n_states if n_states is not None else int(rng.integers(1, 3))
-    nu = n_actions if n_actions is not None else int(rng.integers(1, 3))
-    nth = n_params if n_params is not None else int(rng.integers(1, 4))
-    T = horizon if horizon is not None else int(rng.integers(1, 4))
-    states = tuple(f"x{i}" for i in range(nx))
-    actions = tuple(f"u{i}" for i in range(nu))
-    params = tuple(f"th{i}" for i in range(nth))
-
-    kernel = np.zeros((nth, nx, nu, nx))
-    for i in range(nth):
-        for j in range(nx):
-            for k in range(nu):
-                a = rng.integers(1, 10, size=nx).astype(float)
-                kernel[i, j, k] = _normalize_exact(a)
-
-    cost = rng.integers(0, 9, size=(T, nx, nu, nth)).astype(float) * 0.5
-    if theta_free_costs:
-        cost = np.repeat(cost[:, :, :, :1], nth, axis=3)
-
-    admissible = np.ones((T, nx, nu), dtype=bool)
-    if allow_restricted and nu >= 2:
-        for t in range(T):
-            for j in range(nx):
-                if rng.random() < 0.25:
-                    admissible[t, j, int(rng.integers(0, nu))] = False
-
-    prior = Belief(params, rng.integers(1, 10, size=nth).astype(float))
-    return ModelSpec(
-        horizon=T,
-        states=states,
-        actions=actions,
-        parameters=params,
-        prior=prior,
-        kernel=kernel,
-        cost=cost,
-        initial_state=states[int(rng.integers(0, nx))],
-        admissible=admissible,
-    )
 
 
 def decision_points(m: ModelSpec) -> list[tuple[str, ...]]:

@@ -19,6 +19,7 @@ from riskmdp import (
     posterior_from_history,
     predictive_next_state,
 )
+from riskmdp.belief import HIDDEN_MASS
 
 from conftest import random_instance, random_history
 
@@ -232,6 +233,19 @@ class TestFingerprint:
         a = belief_fingerprint(1, "s", np.array([0.3, 0.7]))
         b = belief_fingerprint(1, "s", np.array([0.3 + 1e-9, 0.7 - 1e-9]))
         assert a != b
+
+    def test_hidden_positive_mass_keeps_support(self):
+        ruled_out = belief_fingerprint(3, "s", np.array([1.0, 0.0]))
+        kept = belief_fingerprint(3, "s", np.array([1.0 - 2e-12, 2e-12]))
+        assert ruled_out == "t=3|x=s|xi=1.0000000000,0.0000000000"
+        assert kept == "t=3|x=s|xi=1.0000000000,0.0000000000|supp=11"
+        # The suffix appears exactly where a positive mass prints as zero.
+        below = float(np.nextafter(HIDDEN_MASS, 0.0))
+        assert "%.10f" % below == "0.0000000000"
+        assert "%.10f" % HIDDEN_MASS == "0.0000000001"
+        assert belief_fingerprint(1, "s", np.array([1.0 - below, below])).endswith("|supp=11")
+        shown = belief_fingerprint(1, "s", np.array([1.0 - HIDDEN_MASS, HIDDEN_MASS]))
+        assert shown == "t=1|x=s|xi=0.9999999999,0.0000000001"
 
 
 class TestGraph:

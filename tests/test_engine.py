@@ -58,6 +58,34 @@ def counterexample_model() -> ModelSpec:
     )
 
 
+def tiny_mass_model() -> ModelSpec:
+    """th1 has prior mass 1e-12, which prints as zero in a node key.
+
+    Via s1 the path rules th1 out; via s2 it keeps it. Both reach s3 at t=3,
+    where th1 leads to the costly absorbing state.
+    """
+    states = ("s0", "s1", "s2", "s3", "bad")
+    kernel = np.zeros((2, 5, 1, 5))
+    kernel[0, 0, 0, [1, 2]] = 0.5
+    kernel[1, 0, 0, 2] = 1.0
+    kernel[:, [1, 2], 0, 3] = 1.0
+    kernel[0, 3, 0, 0] = 1.0
+    kernel[1, 3, 0, 4] = 1.0
+    kernel[:, 4, 0, 4] = 1.0
+    cost = np.zeros((4, 5, 1, 2))
+    cost[:, 4] = 100.0
+    return ModelSpec(
+        horizon=4,
+        states=states,
+        actions=("a",),
+        parameters=("th0", "th1"),
+        prior=Belief(("th0", "th1"), np.array([1.0 - 1e-12, 1e-12])),
+        kernel=kernel,
+        cost=cost,
+        initial_state="s0",
+    )
+
+
 class TestSampleModelValues:
     """Hand-checked dynamic programming on the two-stage example."""
 
@@ -229,11 +257,11 @@ class TestEvaluators:
         got = eval_policy_recursive(sample_model, make_expectation(), pol, history=("s0", "s1"))
         assert abs(got - 0.5) < 1e-12
 
-    def test_history_beyond_horizon(self, sample_model):
+    @pytest.mark.parametrize("evaluate", [eval_policy_recursive, eval_policy_paths, eval_policy_decomposed])
+    def test_history_beyond_horizon(self, sample_model, evaluate):
         pol = all_a0_policy()
-        with pytest.raises(DomainError, match="horizon"):
-            eval_policy_recursive(sample_model, make_expectation(), pol,
-                                  history=("s0", "s1", "s0"))
+        with pytest.raises(DomainError, match="exceeds horizon"):
+            evaluate(sample_model, make_expectation(), pol, history=("s0", "s1", "s0"))
 
     def test_missing_decision(self, sample_model):
         pol = HistoryPolicy({("s0",): "a0"})
@@ -264,6 +292,28 @@ class TestEvaluators:
                              TransitionRiskMap("m", mean), lambda v: v, name="m")
         with pytest.raises(DomainError):
             eval_policy_paths(sample_model, crit, all_a0_policy())
+
+
+class TestTinyMassDoesNotMerge:
+    """A belief that keeps th1 at mass 2e-12 must not merge with one that has
+    ruled th1 out, although both keys print th1 as 0.0000000000."""
+
+    @pytest.mark.parametrize("crit", [make_expectation(), make_entropic(1.0)],
+                             ids=["expectation", "entropic"])
+    def test_solver_equals_brute_force(self, crit):
+        m = tiny_mass_model()
+        table, qmp = solve_dp(m, crit, build_reachable_belief_graph(m))
+        best, _ = brute_force_optimum(m, crit)
+        assert best > 0.0
+        assert table.root_value == pytest.approx(best, rel=1e-9, abs=0.0)
+        achieved = eval_policy_recursive(m, crit, to_history_policy(qmp, m))
+        assert achieved == pytest.approx(best, rel=1e-9, abs=0.0)
+
+    def test_entropic_value(self):
+        # log(1 + 1e-12 (e^100 - 1)), the cost of th1 reaching the bad state
+        m = tiny_mass_model()
+        table, _ = solve_dp(m, make_entropic(1.0), build_reachable_belief_graph(m))
+        assert table.root_value == pytest.approx(math.log1p(1e-12 * math.expm1(100.0)), rel=1e-9)
 
 
 class TestStaticRecursiveDivergence:

@@ -23,11 +23,16 @@ from riskmdp import (
 
 from conftest import DATA, random_instance
 from test_belief import absorbing_variant
+from test_engine import tiny_mass_model
 
 
 def reference_fingerprint(t, state, weights):
-    coords = ",".join(f"{w:.10f}" for w in np.asarray(weights) + 0.0)
-    return f"t={t}|x={state}|xi={coords}"
+    w = np.asarray(weights) + 0.0
+    coords = [f"{c:.10f}" for c in w]
+    key = f"t={t}|x={state}|xi={','.join(coords)}"
+    if any(c > 0.0 and text == "0.0000000000" for c, text in zip(w, coords)):
+        key += "|supp=" + "".join("1" if c > 0.0 else "0" for c in w)
+    return key
 
 
 def reference_graph(m):
@@ -113,6 +118,14 @@ def test_negative_zero_kernel_entry():
     child = g.child(g.root, "a0", "s1")
     assert np.signbit(child.belief.weights[0])
     assert child.id == "t=2|x=s1|xi=0.0000000000,1.0000000000"
+
+
+def test_tiny_mass_keeps_supports_apart():
+    m = tiny_mass_model()
+    assert_matches_reference(m)
+    ids = [n.id for n in build_reachable_belief_graph(m).nodes_at(3)]
+    assert ids == ["t=3|x=s3|xi=1.0000000000,0.0000000000",
+                   "t=3|x=s3|xi=1.0000000000,0.0000000000|supp=11"]
 
 
 @pytest.mark.parametrize("horizon", [3, 4, 5, 6, 7])
