@@ -18,7 +18,6 @@ from riskmdp import (
     simulate_runs,
     solve_dp,
     summarize,
-    to_history_policy,
     trajectories_to_csv,
     validate_model,
 )
@@ -61,11 +60,10 @@ def main() -> None:
 
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    pol = to_history_policy(chosen, m)
     print(f"\nrollouts of entropic({args.kappa[0]:g}) policy, "
           f"{args.runs} runs per truth:")
     for theta_star in m.parameters:
-        trajs = simulate_runs(m, pol, theta_star, runs=args.runs, seed=args.seed)
+        trajs = simulate_runs(m, chosen, theta_star, runs=args.runs, seed=args.seed)
         s = summarize(trajs, theta_star)
         masses = " -> ".join(f"{row['mean_posterior_theta_star']:.4f}"
                              for row in s["per_t"])

@@ -45,9 +45,14 @@ def bayes_update(m: ModelSpec, xi: Belief, x: str, u: str, x_next: str) -> Belie
     un = xi.weights * lik
     denom = float(un.sum())
     if denom <= 0.0:
-        raise ZeroProbabilityObservation(
-            f"observation ({x}, {u}) -> {x_next} has zero probability under the current belief")
+        raise _zero_probability(x, u, x_next)
     return Belief(m.parameters, un)
+
+
+def _zero_probability(x: str, u: str, x_next: str) -> ZeroProbabilityObservation:
+    """The error for observing (x, u) -> x_next where the belief gives it probability zero."""
+    return ZeroProbabilityObservation(
+        f"observation ({x}, {u}) -> {x_next} has zero probability under the current belief")
 
 
 def predictive_next_state(m: ModelSpec, xi: Belief, x: str, u: str) -> np.ndarray:

@@ -139,16 +139,13 @@ def _load_policy_doc(path: str) -> dict:
         raise SchemaError(f"policy is not valid JSON: {e}") from None
 
 
-def _load_history_policy(m, path: str, node_cap: int) -> HistoryPolicy:
-    """Read a policy file; a quasi_markov policy is unfolded over the model's belief graph."""
+def _load_policy(m, path: str, node_cap: int) -> HistoryPolicy | QuasiMarkovPolicy:
+    """Read a policy file; a quasi_markov policy is resolved over the model's belief graph."""
     doc = _load_policy_doc(path)
     graph = None
     if isinstance(doc, dict) and doc.get("type") == "quasi_markov":
         graph = build_reachable_belief_graph(m, node_cap=node_cap)
-    pol = parse_policy(doc, m, graph)
-    if isinstance(pol, QuasiMarkovPolicy):
-        pol = to_history_policy(pol, m)
-    return pol
+    return parse_policy(doc, m, graph)
 
 
 def _emit(payload: str, out: str | None) -> None:
@@ -215,7 +212,9 @@ def _dispatch(args) -> int:
     if cmd == "evaluate":
         m = _load_model(args.model)
         crit = _load_criterion(args.criterion)
-        pol = _load_history_policy(m, args.policy, args.node_cap)
+        pol = _load_policy(m, args.policy, args.node_cap)
+        if isinstance(pol, QuasiMarkovPolicy):
+            pol = to_history_policy(pol, m)
         value = eval_policy_recursive(m, crit, pol)
         _emit(json.dumps({"value": value, "criterion": crit.describe()}, indent=2), args.out)
         return 0
@@ -231,7 +230,7 @@ def _dispatch(args) -> int:
 
     if cmd == "simulate":
         m = _load_model(args.model)
-        pol = _load_history_policy(m, args.policy, args.node_cap)
+        pol = _load_policy(m, args.policy, args.node_cap)
         _stage(f"simulate: {args.runs} runs under theta*={args.theta_star}")
         trajs = simulate_runs(m, pol, args.theta_star, runs=args.runs, seed=args.seed)
         if args.out:

@@ -54,6 +54,12 @@ class QuasiMarkovPolicy:
     table: dict[str, str]  # belief node id -> action label
     graph: BeliefGraph
 
+    def action(self, node: BeliefNode) -> str:
+        try:
+            return self.table[node.id]
+        except KeyError:
+            raise DomainError(f"policy has no decision for belief node {node.id!r}") from None
+
 
 @dataclass(frozen=True)
 class ValueTable:
@@ -83,13 +89,18 @@ def _stage_plus_sigma(
     return f
 
 
+def _not_admissible(u: str, t: int, x: str) -> DomainError:
+    """The error for a policy that takes action u where it is not admissible."""
+    return DomainError(f"policy action {u!r} not admissible at (t={t}, {x})")
+
+
 def _policy_step(m: ModelSpec, pol: HistoryPolicy, hist: tuple[str, ...]) -> tuple[str, int, int]:
     """The policy's action at a history, checked admissible, with its state and action indices."""
     t = len(hist)
     x = hist[-1]
     u = pol.action(hist)
     if not m.is_admissible(t, x, u):
-        raise DomainError(f"policy action {u!r} not admissible at (t={t}, {x})")
+        raise _not_admissible(u, t, x)
     return u, m.state_index(x), m.action_index(u)
 
 
@@ -156,7 +167,7 @@ def to_history_policy(pol: QuasiMarkovPolicy, m: ModelSpec) -> HistoryPolicy:
         t = len(hist)
         x = hist[-1]
         if node is not None:
-            u = pol.table[node.id]
+            u = pol.action(node)
         else:
             u = first_admissible(t, x)
         decisions[hist] = u

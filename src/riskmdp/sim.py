@@ -3,7 +3,8 @@
 Randomness comes from the Philox counter-based generator with one substream
 per run, keyed by (seed, run index), so runs are reproducible independently
 of execution order. Next states are drawn by inverse CDF over the declared
-state order.
+state order. Because no run depends on another, all runs advance together,
+one time step at a time, as arrays over runs.
 """
 
 from __future__ import annotations
@@ -12,14 +13,14 @@ import csv
 import io
 import json
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .belief import bayes_update
-from .engine import HistoryPolicy, _policy_step
-from .errors import DomainError
-from .model import Belief, ModelSpec
+from .belief import _zero_probability
+from .engine import HistoryPolicy, QuasiMarkovPolicy, _not_admissible
+from .errors import DomainError, RiskMdpError
+from .model import Belief, ModelSpec, _normalize_exact, _normalize_rows
 
 
 @dataclass(frozen=True)
@@ -31,54 +32,176 @@ class Trajectory:
     total_true_cost: float
 
 
-def _run_generator(seed: int, run: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=np.array([seed, run], dtype=np.uint64)))
+def _run_uniforms(seed: int, runs: int, horizon: int) -> np.ndarray:
+    """Row r holds the first `horizon` doubles of the Philox stream keyed by (seed, r).
+
+    One generator is re-keyed for each run: a fresh state (zero counter,
+    empty buffer) under key (seed, r) yields the same stream as a new
+    Philox(key=(seed, r)), without the cost of constructing one per run.
+    """
+    bits = np.random.Philox(key=np.array([seed, 0], dtype=np.uint64))
+    gen = np.random.Generator(bits)
+    fresh = bits.state
+    out = np.empty((runs, horizon))
+    for r in range(runs):
+        fresh["state"]["key"] = np.array([seed, r], dtype=np.uint64)
+        bits.state = fresh
+        out[r] = gen.random(horizon)
+    return out
 
 
-def _draw_state(rng: np.random.Generator, probs: np.ndarray, states: Sequence[str]) -> str:
-    cdf = np.cumsum(probs)
-    cdf[-1] = 1.0
-    u = rng.random()
-    return states[int(np.searchsorted(cdf, u, side="right"))]
+def _until_error(fn: Callable, items: Iterable) -> tuple[list, RiskMdpError | None]:
+    """fn applied to items in order up to the first that raises: (results, that error or None)."""
+    out = []
+    try:
+        for item in items:
+            out.append(fn(item))
+    except RiskMdpError as e:
+        return out, e
+    return out, None
+
+
+class _GraphActions:
+    """A quasi-Markov policy's actions, read per run off the belief graph."""
+
+    def __init__(self, m: ModelSpec, pol: QuasiMarkovPolicy, runs: int):
+        self.pol = pol
+        # Action index per node ordinal; -1 where the policy has no decision.
+        self.action = np.array([m.action_index(pol.table[n.id]) if n.id in pol.table else -1
+                                for n in pol.graph.nodes])
+        self.nodes = np.full(runs, pol.graph.root.ordinal)
+
+    def act(self, hist: np.ndarray) -> tuple[np.ndarray, RiskMdpError | None]:
+        node = self.nodes[:len(hist)]
+        k = self.action[node]
+        missing = np.flatnonzero(k < 0)
+        if missing.size:
+            f = int(missing[0])
+            _, error = _until_error(self.pol.action, [self.pol.graph.nodes[node[f]]])
+            return k[:f], error
+        return k, None
+
+    def advance(self, t: int, k: np.ndarray, y: np.ndarray) -> None:
+        levels = self.pol.graph.levels
+        if t < len(levels):
+            # A level's ordinals are contiguous, so a node's row is its
+            # ordinal minus the level's first. The move has positive
+            # probability (the Bayes update succeeded), so the child exists.
+            level = levels[t - 1]
+            self.nodes = level.children[self.nodes[:len(k)] - level.ordinals[0], k, y]
+
+
+class _HistoryActions:
+    """A history policy's actions, looked up per run by its state history."""
+
+    def __init__(self, m: ModelSpec, pol: HistoryPolicy):
+        self.m = m
+        self.pol = pol
+
+    def act(self, hist: np.ndarray) -> tuple[np.ndarray, RiskMdpError | None]:
+        states = self.m.states
+        k, error = _until_error(lambda h: self.m.action_index(self.pol.action(h)),
+                                (tuple([states[j] for j in row]) for row in hist.tolist()))
+        return np.array(k, dtype=np.intp), error
+
+    def advance(self, t: int, k: np.ndarray, y: np.ndarray) -> None:
+        pass
+
+
+def _unique_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of a 2-D float array, compared by their bytes, and each row's index among them."""
+    a = np.ascontiguousarray(a)
+    rows, inverse = np.unique(a.view(np.dtype((np.void, a.itemsize * a.shape[1]))).ravel(),
+                              return_inverse=True)
+    return rows.view(a.dtype).reshape(-1, a.shape[1]), inverse
 
 
 def simulate_runs(
-    m: ModelSpec, pol: HistoryPolicy, theta_star: str, runs: int, seed: int
+    m: ModelSpec, pol: HistoryPolicy | QuasiMarkovPolicy, theta_star: str, runs: int, seed: int
 ) -> list[Trajectory]:
     """Roll the policy `runs` times with transitions drawn from theta_star's kernel.
 
     The belief trace is the decision maker's posterior, which does not know
-    theta_star; costs are charged at the true parameter.
+    theta_star, updated incrementally along each run; costs are charged at
+    the true parameter. A quasi-Markov policy is followed along its belief
+    graph without unfolding it. When runs fail, the first error of the
+    lowest-index failing run is raised, as if the runs were rolled one after
+    another.
     """
     i_star = m.param_index(theta_star)
     if runs < 1:
         raise DomainError(f"runs must be >= 1, got {runs}")
-    out: list[Trajectory] = []
-    for r in range(runs):
-        rng = _run_generator(seed, r)
-        hist: tuple[str, ...] = (m.initial_state,)
-        xi = m.prior
-        beliefs: list[Belief] = []
-        actions: list[str] = []
-        costs: list[float] = []
-        for t in range(1, m.horizon + 1):
-            x = hist[-1]
-            u, j, k = _policy_step(m, pol, hist)
-            beliefs.append(xi)
-            actions.append(u)
-            costs.append(float(m.cost[t - 1, j, k, i_star]))
-            row = m.kernel[i_star, j, k]
-            y = _draw_state(rng, row, m.states)
-            xi = bayes_update(m, xi, x, u, y)
-            hist = hist + (y,)
-        out.append(Trajectory(
-            states=hist,
-            actions=tuple(actions),
-            beliefs=tuple(beliefs),
-            true_costs=tuple(costs),
-            total_true_cost=float(sum(costs)),
-        ))
-    return out
+    if m.prior.params != m.parameters:
+        raise DomainError("belief is not over this model's parameters")
+    if isinstance(pol, QuasiMarkovPolicy):
+        lookup = _GraphActions(m, pol, runs)
+    else:
+        lookup = _HistoryActions(m, pol)
+    horizon, params = m.horizon, m.parameters
+    draws = _run_uniforms(seed, runs, horizon)
+    # A state is drawn as the number of CDF entries <= u, which is
+    # searchsorted(cdf, u, side="right").
+    cdf = np.cumsum(m.kernel[i_star], axis=-1)
+    cdf[..., -1] = 1.0
+
+    xs = np.empty((runs, horizon + 1), dtype=np.intp)
+    xs[:, 0] = m.state_index(m.initial_state)
+    ks = np.empty((runs, horizon), dtype=np.intp)
+    # Runs with the same history compute bitwise the same posterior row, so
+    # each step normalizes its distinct rows once, keeps their beliefs in
+    # held[t - 1] and each run's index among them in held_at[:, t - 1].
+    held: list[list[Belief]] = []
+    held_at = np.empty((runs, horizon), dtype=np.intp)
+    beliefs, weights, at = [m.prior], m.prior.weights[None, :], np.zeros(runs, dtype=np.intp)
+    # Runs [0, n) are still rolling; error is the first error of run n.
+    n, error = runs, None
+    for t in range(1, horizon + 1):
+        k, e = lookup.act(xs[:n, :t])
+        if e is not None:
+            n, error = len(k), e
+        x = xs[:n, t - 1]
+        bad = np.flatnonzero(~m.admissible[t - 1, x, k])
+        if bad.size:
+            n = int(bad[0])
+            error = _not_admissible(m.actions[k[n]], t, m.states[x[n]])
+            x, k = x[:n], k[:n]
+        ks[:n, t - 1] = k
+        held.append(beliefs)
+        held_at[:n, t - 1] = at[:n]
+        y = (cdf[x, k] <= draws[:n, t - 1, None]).sum(axis=1)
+        xs[:n, t] = y
+        un = weights[at[:n]] * m.kernel[:, x, k, y].T
+        bad = np.flatnonzero(un.sum(axis=1) <= 0.0)
+        if bad.size:
+            n = int(bad[0])
+            error = _zero_probability(m.states[x[n]], m.actions[k[n]], m.states[y[n]])
+            un = un[:n]
+        rows, at = _unique_rows(un)
+        try:
+            weights = _normalize_rows(rows)
+        except DomainError:
+            done, error = _until_error(_normalize_exact, un)
+            n = len(done)
+            rows, at = _unique_rows(un[:n])
+            weights = _normalize_rows(rows)
+        weights.setflags(write=False)
+        beliefs = [Belief._normalized(params, w) for w in weights]
+        lookup.advance(t, k[:n], y[:n])
+    if error is not None:
+        raise error
+
+    cost = m.cost[np.arange(horizon), xs[:, :horizon], ks, i_star]
+    states, actions = m.states, m.actions
+    return [
+        Trajectory(
+            states=tuple([states[j] for j in xr]),
+            actions=tuple([actions[k] for k in kr]),
+            beliefs=tuple([b[i] for b, i in zip(held, ir)]),
+            true_costs=tuple(cr),
+            total_true_cost=float(sum(cr)),
+        )
+        for xr, kr, ir, cr in zip(xs.tolist(), ks.tolist(), held_at.tolist(), cost.tolist())
+    ]
 
 
 def summarize(trajectories: Sequence[Trajectory], theta_star: str) -> dict:

@@ -16,11 +16,13 @@ from riskmdp import (
     build_reachable_belief_graph,
     make_entropic,
     policy_to_json,
+    serialize_model,
     solve_dp,
 )
 from riskmdp.cli import run_cli
 
 from conftest import DATA
+from test_sim_reference import ruled_out_model
 
 MODEL = str(DATA / "sample_model.json")
 ENTROPIC = '{"type": "entropic", "kappa": 1.0}'
@@ -224,6 +226,41 @@ class TestSimulate:
         polf = write_json(tmp_path / "pol.json", all_a0_policy_doc())
         assert run_cli(["simulate", "--model", MODEL, "--policy", polf,
                         "--theta-star", "th1", "--runs", "0"]) == 2
+
+    def test_theta_star_outside_prior_support(self, tmp_path, capsys, sample_model):
+        m = ruled_out_model(sample_model)
+        model_f = tmp_path / "model.json"
+        model_f.write_text(serialize_model(m))
+        polf = write_json(tmp_path / "pol.json", all_a0_policy_doc())
+        assert run_cli(["simulate", "--model", str(model_f), "--policy", polf,
+                        "--theta-star", "th2", "--runs", "20"]) == 1
+        assert ("observation (s0, a0) -> s1 has zero probability under the current belief"
+                in capsys.readouterr().err)
+
+
+class TestMissingQuasiMarkovDecision:
+    """A quasi_markov policy file without an entry for a reached node."""
+
+    @pytest.fixture
+    def policy_without_root(self, tmp_path, capsys):
+        pol_f = tmp_path / "pol.json"
+        assert run_cli(["solve", "--model", MODEL, "--criterion", ENTROPIC,
+                        "--out", str(tmp_path / "table.json"), "--policy", str(pol_f)]) == 0
+        doc = json.loads(pol_f.read_text())
+        root = json.loads((tmp_path / "table.json").read_text())["nodes"][0]["id"]
+        del doc["table"][root]
+        capsys.readouterr()
+        return write_json(pol_f, doc)
+
+    def test_simulate(self, policy_without_root, capsys):
+        assert run_cli(["simulate", "--model", MODEL, "--policy", policy_without_root,
+                        "--theta-star", "th1", "--runs", "5"]) == 2
+        assert "policy has no decision for belief node" in capsys.readouterr().err
+
+    def test_evaluate(self, policy_without_root, capsys):
+        assert run_cli(["evaluate", "--model", MODEL, "--criterion", ENTROPIC,
+                        "--policy", policy_without_root]) == 2
+        assert "policy has no decision for belief node" in capsys.readouterr().err
 
 
 class TestAxiomsAndBeliefs:
