@@ -89,18 +89,13 @@ def _stage_plus_sigma(
     return f
 
 
-def _not_admissible(u: str, t: int, x: str) -> DomainError:
-    """The error for a policy that takes action u where it is not admissible."""
-    return DomainError(f"policy action {u!r} not admissible at (t={t}, {x})")
-
-
 def _policy_step(m: ModelSpec, pol: HistoryPolicy, hist: tuple[str, ...]) -> tuple[str, int, int]:
     """The policy's action at a history, checked admissible, with its state and action indices."""
     t = len(hist)
     x = hist[-1]
     u = pol.action(hist)
     if not m.is_admissible(t, x, u):
-        raise _not_admissible(u, t, x)
+        raise DomainError(f"policy action {u!r} not admissible at (t={t}, {x})")
     return u, m.state_index(x), m.action_index(u)
 
 

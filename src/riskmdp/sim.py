@@ -4,7 +4,8 @@ Randomness comes from the Philox counter-based generator with one substream
 per run, keyed by (seed, run index), so runs are reproducible independently
 of execution order. Next states are drawn by inverse CDF over the declared
 state order. Because no run depends on another, all runs advance together,
-one time step at a time, as arrays over runs.
+one time step at a time, as arrays over runs; runs that share a history are
+advanced as one.
 """
 
 from __future__ import annotations
@@ -13,12 +14,12 @@ import csv
 import io
 import json
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .belief import _zero_probability
-from .engine import HistoryPolicy, QuasiMarkovPolicy, _not_admissible
+from .engine import HistoryPolicy, QuasiMarkovPolicy, _policy_step, to_history_policy
 from .errors import DomainError, RiskMdpError
 from .model import Belief, ModelSpec, _normalize_exact, _normalize_rows
 
@@ -50,70 +51,41 @@ def _run_uniforms(seed: int, runs: int, horizon: int) -> np.ndarray:
     return out
 
 
-def _until_error(fn: Callable, items: Iterable) -> tuple[list, RiskMdpError | None]:
-    """fn applied to items in order up to the first that raises: (results, that error or None)."""
-    out = []
+def _first_failing_run(failed: Sequence[bool], at: np.ndarray) -> int | None:
+    """The lowest run whose history (its index into `failed`, in `at`) failed, if any."""
+    bad = np.flatnonzero(np.asarray(failed, dtype=bool)[at])
+    return int(bad[0]) if bad.size else None
+
+
+def _try(fn: Callable, *args):
+    """fn(*args), or the RiskMdpError it raised."""
     try:
-        for item in items:
-            out.append(fn(item))
+        return fn(*args)
     except RiskMdpError as e:
-        return out, e
-    return out, None
+        return e
 
 
-class _GraphActions:
-    """A quasi-Markov policy's actions, read per run off the belief graph."""
+def _normalize_each(un: np.ndarray, errors: list) -> np.ndarray:
+    """The rows of un normalized as Belief(params, row) would, for rows whose error is None.
 
-    def __init__(self, m: ModelSpec, pol: QuasiMarkovPolicy, runs: int):
-        self.pol = pol
-        # Action index per node ordinal; -1 where the policy has no decision.
-        self.action = np.array([m.action_index(pol.table[n.id]) if n.id in pol.table else -1
-                                for n in pol.graph.nodes])
-        self.nodes = np.full(runs, pol.graph.root.ordinal)
-
-    def act(self, hist: np.ndarray) -> tuple[np.ndarray, RiskMdpError | None]:
-        node = self.nodes[:len(hist)]
-        k = self.action[node]
-        missing = np.flatnonzero(k < 0)
-        if missing.size:
-            f = int(missing[0])
-            _, error = _until_error(self.pol.action, [self.pol.graph.nodes[node[f]]])
-            return k[:f], error
-        return k, None
-
-    def advance(self, t: int, k: np.ndarray, y: np.ndarray) -> None:
-        levels = self.pol.graph.levels
-        if t < len(levels):
-            # A level's ordinals are contiguous, so a node's row is its
-            # ordinal minus the level's first. The move has positive
-            # probability (the Bayes update succeeded), so the child exists.
-            level = levels[t - 1]
-            self.nodes = level.children[self.nodes[:len(k)] - level.ordinals[0], k, y]
-
-
-class _HistoryActions:
-    """A history policy's actions, looked up per run by its state history."""
-
-    def __init__(self, m: ModelSpec, pol: HistoryPolicy):
-        self.m = m
-        self.pol = pol
-
-    def act(self, hist: np.ndarray) -> tuple[np.ndarray, RiskMdpError | None]:
-        states = self.m.states
-        k, error = _until_error(lambda h: self.m.action_index(self.pol.action(h)),
-                                (tuple([states[j] for j in row]) for row in hist.tolist()))
-        return np.array(k, dtype=np.intp), error
-
-    def advance(self, t: int, k: np.ndarray, y: np.ndarray) -> None:
-        pass
-
-
-def _unique_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct rows of a 2-D float array, compared by their bytes, and each row's index among them."""
-    a = np.ascontiguousarray(a)
-    rows, inverse = np.unique(a.view(np.dtype((np.void, a.itemsize * a.shape[1]))).ravel(),
-                              return_inverse=True)
-    return rows.view(a.dtype).reshape(-1, a.shape[1]), inverse
+    A row that Belief would reject gets its error in `errors` instead, and
+    is returned as it was.
+    """
+    for i in np.flatnonzero(np.any(un < 0, axis=1) | ~np.all(np.isfinite(un), axis=1)).tolist():
+        if errors[i] is None:
+            errors[i] = DomainError("belief weights must be finite and nonnegative")
+    ok = [i for i, e in enumerate(errors) if e is None]
+    out = un.copy()
+    try:
+        out[ok] = _normalize_rows(un[ok])
+    except DomainError:
+        for i in ok:
+            row = _try(_normalize_exact, un[i])
+            if isinstance(row, RiskMdpError):
+                errors[i] = row
+            else:
+                out[i] = row
+    return out
 
 
 def simulate_runs(
@@ -123,10 +95,13 @@ def simulate_runs(
 
     The belief trace is the decision maker's posterior, which does not know
     theta_star, updated incrementally along each run; costs are charged at
-    the true parameter. A quasi-Markov policy is followed along its belief
-    graph without unfolding it. When runs fail, the first error of the
-    lowest-index failing run is raised, as if the runs were rolled one after
-    another.
+    the true parameter. A quasi-Markov policy is unfolded into its history
+    policy first. When runs fail, the first error of the lowest-index failing
+    run is raised, as if the runs were rolled one after another.
+
+    Runs that share a history share its action, its posterior and in the
+    end its trajectory. So each step looks up the policy and updates the
+    belief once per distinct history; only the draws are made per run.
     """
     i_star = m.param_index(theta_star)
     if runs < 1:
@@ -134,74 +109,80 @@ def simulate_runs(
     if m.prior.params != m.parameters:
         raise DomainError("belief is not over this model's parameters")
     if isinstance(pol, QuasiMarkovPolicy):
-        lookup = _GraphActions(m, pol, runs)
-    else:
-        lookup = _HistoryActions(m, pol)
-    horizon, params = m.horizon, m.parameters
+        pol = to_history_policy(pol, m)
+    horizon, params, states, actions = m.horizon, m.parameters, m.states, m.actions
     draws = _run_uniforms(seed, runs, horizon)
     # A state is drawn as the number of CDF entries <= u, which is
     # searchsorted(cdf, u, side="right").
     cdf = np.cumsum(m.kernel[i_star], axis=-1)
     cdf[..., -1] = 1.0
 
-    xs = np.empty((runs, horizon + 1), dtype=np.intp)
-    xs[:, 0] = m.state_index(m.initial_state)
-    ks = np.empty((runs, horizon), dtype=np.intp)
-    # Runs with the same history compute bitwise the same posterior row, so
-    # each step normalizes its distinct rows once, keeps their beliefs in
-    # held[t - 1] and each run's index among them in held_at[:, t - 1].
-    held: list[list[Belief]] = []
-    held_at = np.empty((runs, horizon), dtype=np.intp)
-    beliefs, weights, at = [m.prior], m.prior.weights[None, :], np.zeros(runs, dtype=np.intp)
-    # Runs [0, n) are still rolling; error is the first error of run n.
+    # The distinct histories at time t, each one's last state, posterior
+    # weights and Belief; run r is at history at[r]. Runs [0, n) are still
+    # rolling, and error is the first error of run n.
+    hists = [(m.initial_state,)]
+    x = np.array([m.state_index(m.initial_state)])
+    weights, beliefs = m.prior.weights[None, :], [m.prior]
+    at = np.zeros(runs, dtype=np.intp)
     n, error = runs, None
+    # Per time t: the beliefs, actions and costs of its distinct histories,
+    # and each next history's parent among them.
+    held: list[list[Belief]] = []
+    taken: list[list[str | None]] = []
+    charged: list[list[float]] = []
+    parents: list[np.ndarray] = []
     for t in range(1, horizon + 1):
-        k, e = lookup.act(xs[:n, :t])
-        if e is not None:
-            n, error = len(k), e
-        x = xs[:n, t - 1]
-        bad = np.flatnonzero(~m.admissible[t - 1, x, k])
-        if bad.size:
-            n = int(bad[0])
-            error = _not_admissible(m.actions[k[n]], t, m.states[x[n]])
-            x, k = x[:n], k[:n]
-        ks[:n, t - 1] = k
+        decided = [_try(_policy_step, m, pol, h) for h in hists]
+        failed = [isinstance(d, RiskMdpError) for d in decided]
+        f = _first_failing_run(failed, at)
+        if f is not None:
+            n, error, at = f, decided[at[f]], at[:f]
+        k = np.array([0 if bad else d[2] for d, bad in zip(decided, failed)], dtype=np.intp)
+        y = (cdf[x[at], k[at]] <= draws[:n, t - 1, None]).sum(axis=1)
+
+        nxt, at = np.unique(at * len(states) + y, return_inverse=True)
+        parent, y = np.divmod(nxt, len(states))
+        un = weights[parent] * m.kernel[:, x[parent], k[parent], y].T
+        errors = [_zero_probability(states[x[p]], actions[k[p]], states[l]) if zero else None
+                  for p, l, zero in zip(parent.tolist(), y.tolist(), (un.sum(axis=1) <= 0.0).tolist())]
+        post = _normalize_each(un, errors)
+        f = _first_failing_run([e is not None for e in errors], at)
+        if f is not None:
+            n, error = f, errors[at[f]]
+            kept, at = np.unique(at[:f], return_inverse=True)
+            parent, y, post = parent[kept], y[kept], post[kept]
+
         held.append(beliefs)
-        held_at[:n, t - 1] = at[:n]
-        y = (cdf[x, k] <= draws[:n, t - 1, None]).sum(axis=1)
-        xs[:n, t] = y
-        un = weights[at[:n]] * m.kernel[:, x, k, y].T
-        bad = np.flatnonzero(un.sum(axis=1) <= 0.0)
-        if bad.size:
-            n = int(bad[0])
-            error = _zero_probability(m.states[x[n]], m.actions[k[n]], m.states[y[n]])
-            un = un[:n]
-        rows, at = _unique_rows(un)
-        try:
-            weights = _normalize_rows(rows)
-        except DomainError:
-            done, error = _until_error(_normalize_exact, un)
-            n = len(done)
-            rows, at = _unique_rows(un[:n])
-            weights = _normalize_rows(rows)
+        taken.append([None if bad else d[0] for d, bad in zip(decided, failed)])
+        charged.append(m.cost[t - 1, x, k, i_star].tolist())
+        parents.append(parent)
+        hists = [hists[p] + (states[l],) for p, l in zip(parent.tolist(), y.tolist())]
+        x, weights = y, post
         weights.setflags(write=False)
         beliefs = [Belief._normalized(params, w) for w in weights]
-        lookup.advance(t, k[:n], y[:n])
+        if n == 0:
+            break
     if error is not None:
         raise error
 
-    cost = m.cost[np.arange(horizon), xs[:, :horizon], ks, i_star]
-    states, actions = m.states, m.actions
-    return [
-        Trajectory(
-            states=tuple([states[j] for j in xr]),
-            actions=tuple([actions[k] for k in kr]),
-            beliefs=tuple([b[i] for b, i in zip(held, ir)]),
-            true_costs=tuple(cr),
-            total_true_cost=float(sum(cr)),
-        )
-        for xr, kr, ir, cr in zip(xs.tolist(), ks.tolist(), held_at.tolist(), cost.tolist())
-    ]
+    # anc[t - 1][d] is final history d's ancestor among the histories at
+    # time t. Each final history makes one trajectory, shared by the runs
+    # that reached it.
+    anc = [np.arange(len(hists))]
+    for parent in reversed(parents):
+        anc.insert(0, parent[anc[0]])
+    anc = [a.tolist() for a in anc[:-1]]
+    trajectories = []
+    for d, hist in enumerate(hists):
+        costs = tuple([c[a[d]] for c, a in zip(charged, anc)])
+        trajectories.append(Trajectory(
+            states=hist,
+            actions=tuple([u[a[d]] for u, a in zip(taken, anc)]),
+            beliefs=tuple([b[a[d]] for b, a in zip(held, anc)]),
+            true_costs=costs,
+            total_true_cost=float(sum(costs)),
+        ))
+    return [trajectories[d] for d in at.tolist()]
 
 
 def summarize(trajectories: Sequence[Trajectory], theta_star: str) -> dict:
