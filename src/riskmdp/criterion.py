@@ -62,11 +62,23 @@ class CriterionSpec:
         return out
 
 
+def _fold(terms: np.ndarray) -> float:
+    """Sum of a 1-D array, added left to right starting from +0.0.
+
+    Sums are folded in a fixed order, not taken with np.dot, so that one
+    row gives the same bits however many rows are summed with it.
+    """
+    acc = 0.0
+    for x in terms.tolist():
+        acc += x
+    return acc
+
+
 def _mean_under(values: np.ndarray, weights: np.ndarray) -> float:
     w = np.asarray(weights, dtype=float)
     v = np.asarray(values, dtype=float)
     mask = w > 0.0
-    return float(np.dot(w[mask], v[mask]))
+    return _fold(w[mask] * v[mask])
 
 
 def _certainty_equivalent(kappa: float, values: np.ndarray, weights: np.ndarray) -> float:
@@ -86,8 +98,8 @@ def _certainty_equivalent(kappa: float, values: np.ndarray, weights: np.ndarray)
     v = v[mask]
     vmax = float(v.max())
     z = kappa * (v - vmax)
-    s = float(np.dot(w, np.expm1(z)))
-    log_mean_exp = math.log1p(s) if s >= -0.5 else math.log(float(np.dot(w, np.exp(z))))
+    s = _fold(w * np.expm1(z))
+    log_mean_exp = math.log1p(s) if s >= -0.5 else math.log(_fold(w * np.exp(z)))
     return vmax + log_mean_exp / kappa
 
 
