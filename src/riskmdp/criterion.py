@@ -74,14 +74,38 @@ def _fold(terms: np.ndarray) -> float:
     return acc
 
 
-def _mean_under(values: np.ndarray, weights: np.ndarray) -> float:
-    w = np.asarray(weights, dtype=float)
-    v = np.asarray(values, dtype=float)
-    mask = w > 0.0
-    return _fold(w[mask] * v[mask])
+def _fold_rows(terms: np.ndarray) -> np.ndarray:
+    """_fold of every row of a 2-D array, one column at a time.
+
+    A zero column leaves every sum's bits as they are (a sum that starts
+    from +0.0 is never -0.0), so dead atoms may be zeroed instead of skipped.
+    """
+    acc = np.zeros(len(terms))
+    for col in terms.T:
+        acc += col
+    return acc
 
 
-def _certainty_equivalent(kappa: float, values: np.ndarray, weights: np.ndarray) -> float:
+class _Mean:
+    """Weighted mean over the atoms with positive weight.
+
+    Called with two vectors it gives one float; rows(values, weights) gives
+    the mean of every row of two 2-D arrays, equal bit for bit to one call
+    per row.
+    """
+
+    def __call__(self, values: np.ndarray, weights: np.ndarray) -> float:
+        w = np.asarray(weights, dtype=float)
+        v = np.asarray(values, dtype=float)
+        mask = w > 0.0
+        return _fold(w[mask] * v[mask])
+
+    def rows(self, values: np.ndarray, weights: np.ndarray) -> np.ndarray:
+        live = weights > 0.0
+        return _fold_rows(np.where(live, weights, 0.0) * np.where(live, values, 0.0))
+
+
+class _CertaintyEquivalent:
     """(1/kappa) log sum w_i exp(kappa v_i), zero-mass atoms excluded.
 
     Computed as vmax + log1p(s) / kappa with s = sum w_i expm1(kappa (v_i - vmax)).
@@ -90,25 +114,48 @@ def _certainty_equivalent(kappa: float, values: np.ndarray, weights: np.ndarray)
     at small kappa the result stays above the mean, by about kappa * Var / 2.
     When s < -1/2, 1 + s cancels, and log sum w_i exp(kappa (v_i - vmax)) is
     the accurate form instead.
+
+    rows(values, weights) evaluates every row of two 2-D arrays, equal bit
+    for bit to one call per row: the sums are the same folds, and the logs
+    are math.log1p/math.log per row, because np.log1p does not always round
+    like math.log1p.
     """
-    w = np.asarray(weights, dtype=float)
-    v = np.asarray(values, dtype=float)
-    mask = w > 0.0
-    w = w[mask]
-    v = v[mask]
-    vmax = float(v.max())
-    z = kappa * (v - vmax)
-    s = _fold(w * np.expm1(z))
-    log_mean_exp = math.log1p(s) if s >= -0.5 else math.log(_fold(w * np.exp(z)))
-    return vmax + log_mean_exp / kappa
+
+    def __init__(self, kappa: float):
+        self.kappa = kappa
+
+    def __call__(self, values: np.ndarray, weights: np.ndarray) -> float:
+        w = np.asarray(weights, dtype=float)
+        v = np.asarray(values, dtype=float)
+        mask = w > 0.0
+        w = w[mask]
+        v = v[mask]
+        vmax = float(v.max())
+        z = self.kappa * (v - vmax)
+        s = _fold(w * np.expm1(z))
+        log_mean_exp = math.log1p(s) if s >= -0.5 else math.log(_fold(w * np.exp(z)))
+        return vmax + log_mean_exp / self.kappa
+
+    def rows(self, values: np.ndarray, weights: np.ndarray) -> np.ndarray:
+        live = weights > 0.0
+        w = np.where(live, weights, 0.0)
+        vmax = np.where(live, values, -np.inf).max(axis=1)
+        # Dead atoms sit at vmax, so their z is 0 and nothing below overflows.
+        z = self.kappa * (np.where(live, values, vmax[:, None]) - vmax[:, None])
+        s = _fold_rows(w * np.expm1(z))
+        low = ~(s >= -0.5)
+        log_mean_exp = np.array([math.log1p(x) for x in np.where(low, 0.0, s).tolist()])
+        if low.any():
+            log_mean_exp[low] = [math.log(x) for x in _fold_rows(w[low] * np.exp(z[low])).tolist()]
+        return vmax + log_mean_exp / self.kappa
 
 
 def make_expectation() -> CriterionSpec:
     """Risk-neutral criterion: plain weighted averages on both coordinates."""
     return CriterionSpec(
         kind="expectation",
-        rho_hat=MarginalRiskMap("expectation", _mean_under),
-        sigma=TransitionRiskMap("expectation", _mean_under),
+        rho_hat=MarginalRiskMap("expectation", _Mean()),
+        sigma=TransitionRiskMap("expectation", _Mean()),
         report=lambda v: v,
     )
 
@@ -117,13 +164,13 @@ def make_entropic(kappa: float) -> CriterionSpec:
     """Entropic criterion at risk aversion kappa > 0, in certainty-equivalent scale."""
     if not (isinstance(kappa, (int, float)) and math.isfinite(kappa) and kappa > 0):
         raise DomainError(f"entropic criterion requires kappa > 0, got {kappa!r}")
-    kappa = float(kappa)
+    ce = _CertaintyEquivalent(float(kappa))
     return CriterionSpec(
         kind="entropic",
-        rho_hat=MarginalRiskMap("entropic", lambda v, w: _certainty_equivalent(kappa, v, w)),
-        sigma=TransitionRiskMap("entropic", lambda v, p: _certainty_equivalent(kappa, v, p)),
+        rho_hat=MarginalRiskMap("entropic", ce),
+        sigma=TransitionRiskMap("entropic", ce),
         report=lambda v: v,
-        kappa=kappa,
+        kappa=ce.kappa,
     )
 
 

@@ -72,13 +72,17 @@ def _stage_plus_sigma(
     crit: CriterionSpec, cvec: np.ndarray, kernel_jk: np.ndarray,
     params: np.ndarray, v_next: np.ndarray | None,
 ) -> np.ndarray:
-    """The one-step Bellman operator, one entry per parameter.
+    """The evaluators' one-step Bellman operator, one entry per parameter.
 
     For each index i in the integer array params: the stage cost cvec[i]
     plus the transition risk map of the continuation values v_next under the
     next-state distribution kernel_jk[i]. At the horizon (v_next is None) the
     continuation is identically zero and the risk map is not called. Entries
     outside params are zero, so the marginal risk map ignores them.
+
+    It calls the scalar maps once per parameter. solve_dp applies the same
+    operator to a whole level of rows at once (_map_rows), so the evaluators
+    that use this one stay an independent check on the solver.
     """
     f = np.zeros(len(cvec))
     if v_next is None:
@@ -87,6 +91,19 @@ def _stage_plus_sigma(
         for i in params.tolist():
             f[i] = cvec[i] + crit.sigma.evaluate(v_next, kernel_jk[i])
     return f
+
+
+def _map_rows(evaluate, values: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """A risk map applied to every row of two 2-D arrays.
+
+    Built-in maps carry a row form (evaluate.rows) that equals one call per
+    row bit for bit. Any other callable, such as a custom map or a wrapped
+    built-in one, is called once per row.
+    """
+    rows = getattr(evaluate, "rows", None)
+    if rows is not None:
+        return rows(values, weights)
+    return np.array([evaluate(v, w) for v, w in zip(values, weights)], dtype=float)
 
 
 def _policy_step(m: ModelSpec, pol: HistoryPolicy, hist: tuple[str, ...]) -> tuple[str, int, int]:
@@ -102,12 +119,16 @@ def _policy_step(m: ModelSpec, pol: HistoryPolicy, hist: tuple[str, ...]) -> tup
 def solve_dp(m: ModelSpec, crit: CriterionSpec, graph: BeliefGraph) -> tuple[ValueTable, QuasiMarkovPolicy]:
     """Backward induction over the reachable belief graph, a level at a time.
 
-    At each node the candidate actions are scored by aggregating, per
-    parameter, the stage cost plus the transition risk map applied to the
-    children's values, then aggregating over the belief with the marginal
-    risk map. Ties keep the first action in declared order. The terminal
-    continuation value is identically zero, so at t = horizon the transition
-    term is skipped outright.
+    Each level is one batched Bellman step over its N nodes, A actions and
+    P parameters. The live rows are (node, admissible action, parameter in
+    the node's support); for each, the stage cost plus the transition risk
+    map of the children's values under that parameter's next-state
+    distribution, all in one sigma call. Then one marginal risk map call
+    aggregates each (node, admissible action) row over the belief, and the
+    argmin over actions picks the node's action; ties keep the first action
+    in declared order. The terminal continuation value is identically zero,
+    so at t = horizon sigma is not called. Maps without a row form are
+    called once per row, sigma rows of a level first, then rho_hat rows.
     """
     # The extra last slot is the zero value gathered for a missing child (-1).
     values = np.zeros(len(graph.nodes) + 1)
@@ -115,24 +136,24 @@ def solve_dp(m: ModelSpec, crit: CriterionSpec, graph: BeliefGraph) -> tuple[Val
 
     for level in reversed(graph.levels):
         t = level.t
-        cost = m.cost[t - 1]
-        v_next = None if t == m.horizon else values[level.children]
-        for r, (o, j) in enumerate(zip(level.ordinals.tolist(), level.states.tolist())):
-            w = level.weights[r]
-            supp = np.flatnonzero(w > 0.0)
-            best_q = None
-            best_k = None
-            for k in np.flatnonzero(m.admissible[t - 1, j]).tolist():
-                f = _stage_plus_sigma(crit, cost[j, k], m.kernel[:, j, k], supp,
-                                      None if v_next is None else v_next[r, k])
-                q = crit.rho_hat.evaluate(f, w)
-                if best_q is None or q < best_q:
-                    best_q = q
-                    best_k = k
-            if best_k is None:
-                raise DomainError(f"no admissible action at (t={t}, {m.states[j]})")
-            values[o] = best_q
-            argmin[graph.nodes[o].id] = m.actions[best_k]
+        xs = level.states
+        adm = m.admissible[t - 1, xs]  # (N, A)
+        stuck = np.flatnonzero(~adm.any(axis=1))
+        if len(stuck):
+            raise DomainError(f"no admissible action at (t={t}, {m.states[xs[stuck[0]]]})")
+        live = adm[:, :, None] & (level.weights > 0.0)[:, None, :]  # (N, A, P)
+        r, k, i = np.nonzero(live)
+        f = np.zeros(live.shape)
+        f[live] = m.cost[t - 1, xs[r], k, i]
+        if t < m.horizon:
+            f[live] += _map_rows(crit.sigma.evaluate, values[level.children[r, k]], m.kernel[i, xs[r], k])
+        r, k = np.nonzero(adm)
+        q = np.full(adm.shape, np.inf)
+        q[r, k] = _map_rows(crit.rho_hat.evaluate, f[r, k], level.weights[r])
+        best = np.argmin(q, axis=1)
+        values[level.ordinals] = q[np.arange(len(best)), best]
+        argmin.update(zip([graph.nodes[o].id for o in level.ordinals.tolist()],
+                          [m.actions[b] for b in best.tolist()]))
 
     table = ValueTable(
         values={n.id: float(values[n.ordinal]) for n in graph.nodes},

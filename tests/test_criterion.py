@@ -221,6 +221,48 @@ class TestEntropic:
         assert abs(make_entropic(20.0).sigma.evaluate(vals, w) - want) <= 4 * np.spacing(1.0)
 
 
+@st.composite
+def map_rows(draw):
+    """2-D (values, weights) rows: zero-mass atoms carry junk up to +-1e3,
+    and values include 0.0 and -0.0."""
+    n_rows = draw(st.integers(1, 6))
+    n = draw(st.integers(1, 6))
+    zeros = st.sampled_from([0.0, -0.0])
+    values, weights = [], []
+    for _ in range(n_rows):
+        w = draw(st.lists(st.integers(0, 9), min_size=n, max_size=n).filter(any))
+        values.append([draw(st.one_of(zeros, st.floats(-30.0, 30.0) if c else st.floats(-1e3, 1e3)))
+                       for c in w])
+        weights.append(normed(w))
+    return np.array(values), np.array(weights)
+
+
+class TestRowForms:
+    """The built-in maps' row forms equal one scalar call per row, bit for bit."""
+
+    @staticmethod
+    def assert_rows_equal_calls(ev, values, weights):
+        calls = np.array([ev(v, w) for v, w in zip(values, weights)])
+        assert ev.rows(values, weights).tobytes() == calls.tobytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(map_rows(), st.sampled_from([1e-3, 1.0, 5.0, 1e3]))
+    def test_property_rows_equal_scalar_calls(self, vw, kappa):
+        values, weights = vw
+        for crit in (make_expectation(), make_entropic(kappa)):
+            self.assert_rows_equal_calls(crit.rho_hat.evaluate, values, weights)
+            self.assert_rows_equal_calls(crit.sigma.evaluate, values, weights)
+
+    def test_log_sum_exp_branch(self):
+        # s = 0.9 expm1(-1000) = -0.9 < -1/2 in the first row only, so one
+        # call takes each branch.
+        values = np.array([[0.0, 1.0], [0.0, 1.0]])
+        weights = np.array([[0.9, 0.1], [0.1, 0.9]])
+        ev = make_entropic(1e3).sigma.evaluate
+        self.assert_rows_equal_calls(ev, values, weights)
+        assert ev.rows(values, weights)[0] == pytest.approx(1.0 + math.log(0.1) / 1e3, rel=1e-15)
+
+
 def broken_max_criterion() -> CriterionSpec:
     """Deliberately broken: takes the max over every coordinate, including
     coordinates with zero probability mass."""

@@ -5,6 +5,7 @@ is recomputed inline with math.exp/math.log so the solver is checked against
 independent calculations, not against itself.
 """
 
+import dataclasses
 import json
 import math
 
@@ -25,12 +26,14 @@ from riskmdp import (
     eval_policy_decomposed,
     eval_policy_paths,
     eval_policy_recursive,
+    gen_clinical_trials_model,
     make_entropic,
     make_expectation,
     parse_policy,
     policy_to_json,
     solve_dp,
     to_history_policy,
+    validate_model,
     value_table_to_json,
 )
 
@@ -314,6 +317,146 @@ class TestTinyMassDoesNotMerge:
         m = tiny_mass_model()
         table, _ = solve_dp(m, make_entropic(1.0), build_reachable_belief_graph(m))
         assert table.root_value == pytest.approx(math.log1p(1e-12 * math.expm1(100.0)), rel=1e-9)
+
+
+def with_maps(crit, wrap):
+    """crit with wrap applied to both risk maps' evaluate."""
+    return dataclasses.replace(
+        crit,
+        rho_hat=dataclasses.replace(crit.rho_hat, evaluate=wrap(crit.rho_hat.evaluate)),
+        sigma=dataclasses.replace(crit.sigma, evaluate=wrap(crit.sigma.evaluate)))
+
+
+def per_row(crit):
+    """crit with its maps behind plain lambdas, which have no row form, so
+    solve_dp calls them once per row."""
+    return with_maps(crit, lambda ev: lambda v, w: ev(v, w))
+
+
+class _CallCounter:
+    """A risk map without a row form that counts its calls."""
+
+    def __init__(self, ev):
+        self.ev, self.seen = ev, 0
+
+    def __call__(self, v, w):
+        self.seen += 1
+        return self.ev(v, w)
+
+
+class _RowCounter(_CallCounter):
+    """A built-in map that counts the rows its row form is given."""
+
+    def __call__(self, v, w):
+        raise AssertionError("the batched sweep made a scalar call")
+
+    def rows(self, v, w):
+        self.seen += len(v)
+        return self.ev.rows(v, w)
+
+
+def _stuck_model() -> ModelSpec:
+    """Reachable nodes with no admissible action at t=2 (s3) and t=3 (s2, s1).
+
+    At t=3 the child of s1 (state s2) is created before the child of s2
+    (state s1), so ordinal order differs from state order there.
+    """
+    states = ("s0", "s1", "s2", "s3")
+    kernel = np.zeros((2, 4, 1, 4))
+    kernel[0, 0, 0, 1:] = [0.2, 0.3, 0.5]
+    kernel[1, 0, 0, 1:] = [0.5, 0.3, 0.2]
+    kernel[:, 1, 0, 2] = 1.0
+    kernel[:, 2, 0, 1] = 1.0
+    kernel[:, 3, 0, 3] = 1.0
+    admissible = np.ones((3, 4, 1), dtype=bool)
+    admissible[1, 3] = False
+    admissible[2, 1:3] = False
+    return ModelSpec(
+        horizon=3,
+        states=states,
+        actions=("a0",),
+        parameters=("th0", "th1"),
+        prior=Belief(("th0", "th1"), np.array([0.5, 0.5])),
+        kernel=kernel,
+        cost=np.ones((3, 4, 1, 2)),
+        initial_state="s0",
+        admissible=admissible,
+    )
+
+
+def _batched_sweep_models():
+    yield "sample", lambda sample_model: sample_model
+    for T in range(3, 8):
+        yield f"dose-T{T}", lambda _, T=T: gen_clinical_trials_model((1, 2, 3, 4), (1, 2, 3), horizon=T)
+    for seed in range(20):
+        yield f"random-{seed}", lambda _, seed=seed: random_instance(seed)
+    yield "tiny-mass", lambda _: tiny_mass_model()
+
+
+BATCHED_SWEEP_MODELS = list(_batched_sweep_models())
+SWEEP_CRITERIA = [make_expectation()] + [make_entropic(k) for k in (1e-3, 1.0, 5.0)]
+
+
+class TestLevelBatchedSweep:
+    """solve_dp batches each level through the maps' row forms; maps without
+    one take the per-row path, which must give the same bits."""
+
+    @pytest.mark.parametrize("make", [mk for _, mk in BATCHED_SWEEP_MODELS],
+                             ids=[name for name, _ in BATCHED_SWEEP_MODELS])
+    def test_batched_equals_per_row(self, make, sample_model):
+        m = make(sample_model)
+        g = build_reachable_belief_graph(m)
+        for crit in SWEEP_CRITERIA:
+            table, qmp = solve_dp(m, crit, g)
+            ref_table, ref_qmp = solve_dp(m, per_row(crit), g)
+            got = np.array([table.values[n.id] for n in g.nodes])
+            want = np.array([ref_table.values[n.id] for n in g.nodes])
+            assert got.tobytes() == want.tobytes()
+            assert qmp.table == ref_qmp.table
+            assert list(qmp.table) == list(ref_qmp.table)
+
+    @pytest.mark.parametrize("make", [
+        lambda sm: sm,
+        lambda sm: tiny_mass_model(),
+        lambda sm: gen_clinical_trials_model((1, 2, 3), (1, 2, 3), horizon=4, prior={1: 0.5, 2: 0.5, 3: 0.0}),
+        lambda sm: random_instance(7),
+    ], ids=["sample", "tiny-mass", "dose-zero-prior", "random-7"])
+    def test_row_and_call_counts(self, make, sample_model):
+        # One rho_hat per (node, admissible action); below the horizon, one
+        # sigma per (node, admissible action, parameter in the support). The
+        # tiny-mass and zero-prior models have nodes whose support is smaller
+        # than the parameter set.
+        m = make(sample_model)
+        g = build_reachable_belief_graph(m)
+        want_rho = want_sigma = 0
+        for n in g.nodes:
+            acts = len(m.admissible_actions(n.t, n.state))
+            want_rho += acts
+            if n.t < m.horizon:
+                want_sigma += acts * int((n.belief.weights > 0.0).sum())
+        for crit in (make_expectation(), make_entropic(1.0)):
+            for counter in (_RowCounter, _CallCounter):
+                counted = with_maps(crit, counter)
+                solve_dp(m, counted, g)
+                seen = (counted.rho_hat.evaluate.seen, counted.sigma.evaluate.seen)
+                assert seen == (want_rho, want_sigma)
+
+    @pytest.mark.parametrize("crit", [make_expectation(), make_entropic(1.0),
+                                      per_row(make_expectation()), per_row(make_entropic(1.0))],
+                             ids=["expectation", "entropic", "expectation-per-row", "entropic-per-row"])
+    def test_no_admissible_action_names_the_first_node(self, crit):
+        # Levels are solved from the horizon down, and a level's nodes in
+        # ordinal order, so the first stuck node is (t=3, s2), not (t=2, s3).
+        m = _stuck_model()
+        assert [i.message for i in validate_model(m) if i.code == "admissible"] == [
+            "empty admissible action set at (t=2, s3)",
+            "empty admissible action set at (t=3, s1)",
+            "empty admissible action set at (t=3, s2)",
+        ]
+        g = build_reachable_belief_graph(m)
+        assert [n.state for n in g.nodes_at(3)] == ["s2", "s1"]
+        with pytest.raises(DomainError, match=r"^no admissible action at \(t=3, s2\)$"):
+            solve_dp(m, crit, g)
 
 
 class TestStaticRecursiveDivergence:
