@@ -150,8 +150,13 @@ def solve_dp(m: ModelSpec, crit: CriterionSpec, graph: BeliefGraph) -> tuple[Val
         r, k = np.nonzero(adm)
         q = np.full(adm.shape, np.inf)
         q[r, k] = _map_rows(crit.rho_hat.evaluate, f[r, k], level.weights[r])
-        best = np.argmin(q, axis=1)
-        values[level.ordinals] = q[np.arange(len(best)), best]
+        rows = np.arange(len(q))
+        best = np.argmin(np.where(np.isnan(q), np.inf, q), axis=1)
+        first = np.argmax(adm, axis=1)
+        # The first admissible action stays unless another is strictly lower,
+        # so a row of +inf or NaN values keeps an admissible action.
+        best = np.where(q[rows, best] < q[rows, first], best, first)
+        values[level.ordinals] = q[rows, best]
         argmin.update(zip([graph.nodes[o].id for o in level.ordinals.tolist()],
                           [m.actions[b] for b in best.tolist()]))
 

@@ -441,6 +441,26 @@ class TestLevelBatchedSweep:
                 seen = (counted.rho_hat.evaluate.seen, counted.sigma.evaluate.seen)
                 assert seen == (want_rho, want_sigma)
 
+    @pytest.mark.parametrize("admissible, costs, action", [
+        ((False, True, True), (0.0, math.inf, math.inf), "a1"),
+        ((True, True, True), (math.nan, 1.0, 0.0), "a0"),
+        ((True, True, True), (2.0, math.nan, 1.0), "a2"),
+    ], ids=["all-inf", "nan-first", "nan-later"])
+    @pytest.mark.parametrize("crit", [make_expectation(), per_row(make_expectation())],
+                             ids=["batched", "per-row"])
+    def test_argmin_keeps_first_admissible_unless_strictly_beaten(self, admissible, costs, action, crit):
+        # Costs built in code are not validated, so values may be +inf or NaN.
+        m = ModelSpec(
+            horizon=1, states=("s",), actions=("a0", "a1", "a2"), parameters=("th",),
+            prior=Belief(("th",), np.array([1.0])), kernel=np.ones((1, 1, 3, 1)),
+            cost=np.array(costs).reshape(1, 1, 3, 1), initial_state="s",
+            admissible=np.array(admissible).reshape(1, 1, 3))
+        g = build_reachable_belief_graph(m)
+        table, qmp = solve_dp(m, crit, g)
+        assert qmp.table[g.root.id] == action
+        k = m.action_index(action)
+        assert np.array_equal(table.root_value, costs[k], equal_nan=True)
+
     @pytest.mark.parametrize("crit", [make_expectation(), make_entropic(1.0),
                                       per_row(make_expectation()), per_row(make_entropic(1.0))],
                              ids=["expectation", "entropic", "expectation-per-row", "entropic-per-row"])
