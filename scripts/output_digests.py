@@ -3,8 +3,9 @@
 
 For every model: one line with the digest of the belief-graph JSON, then,
 per criterion, one line with the digests of the value-table JSON and of the
-policy JSON. A model that raises prints the error instead. Run it on two
-checkouts and diff the outputs to check that a change keeps the bytes:
+policy JSON. The criteria are the expectation and the entropic one at
+kappa 1e-3, 1 and 5. A model that raises prints the error instead. Run it
+on two checkouts and diff the outputs to check that a change keeps the bytes:
 
     PYTHONPATH=src python scripts/output_digests.py --set full > after.txt
 
@@ -45,6 +46,7 @@ from riskmdp.model import random_instance
 
 SAMPLE = Path(__file__).resolve().parent.parent / "tests" / "data" / "sample_model.json"
 CERTIFY_SHAPE = dict(n_states=2, n_actions=2, n_params=3, horizon=3, allow_restricted=False)
+KAPPAS = (1e-3, 1.0, 5.0)
 
 
 def models(name: str) -> Iterator[tuple[str, object]]:
@@ -79,11 +81,10 @@ def digest(doc: dict) -> str:
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--set", choices=("small", "full"), default="small")
-    ap.add_argument("--kappas", default="1e-3,1,5", help="comma-separated entropic kappas")
     args = ap.parse_args()
 
     criteria = [("expectation", make_expectation())]
-    criteria += [(f"entropic({k})", make_entropic(float(k))) for k in args.kappas.split(",")]
+    criteria += [(f"entropic({k:g})", make_entropic(k)) for k in KAPPAS]
     for label, make in models(args.set):
         try:
             m = make()

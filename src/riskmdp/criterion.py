@@ -105,6 +105,9 @@ class _Mean:
         return _fold_rows(np.where(live, weights, 0.0) * np.where(live, values, 0.0))
 
 
+_NO_MASS = "entropic risk map needs an atom with positive weight"
+
+
 class _CertaintyEquivalent:
     """(1/kappa) log sum w_i exp(kappa v_i), zero-mass atoms excluded.
 
@@ -113,7 +116,8 @@ class _CertaintyEquivalent:
     overflow; expm1/log1p keep the O(kappa) terms that exp/log round away, so
     at small kappa the result stays above the mean, by about kappa * Var / 2.
     When s < -1/2, 1 + s cancels, and log sum w_i exp(kappa (v_i - vmax)) is
-    the accurate form instead.
+    the accurate form instead. A vector with no atom of positive weight has
+    no certainty equivalent and raises DomainError.
 
     rows(values, weights) evaluates every row of two 2-D arrays, equal bit
     for bit to one call per row: the sums are the same folds, and the logs
@@ -130,6 +134,8 @@ class _CertaintyEquivalent:
         mask = w > 0.0
         w = w[mask]
         v = v[mask]
+        if not len(v):
+            raise DomainError(_NO_MASS)
         vmax = float(v.max())
         z = self.kappa * (v - vmax)
         s = _fold(w * np.expm1(z))
@@ -138,6 +144,8 @@ class _CertaintyEquivalent:
 
     def rows(self, values: np.ndarray, weights: np.ndarray) -> np.ndarray:
         live = weights > 0.0
+        if not live.any(axis=1).all():
+            raise DomainError(_NO_MASS)
         w = np.where(live, weights, 0.0)
         vmax = np.where(live, values, -np.inf).max(axis=1)
         # Dead atoms sit at vmax, so their z is 0 and nothing below overflows.

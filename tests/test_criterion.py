@@ -262,6 +262,19 @@ class TestRowForms:
         self.assert_rows_equal_calls(ev, values, weights)
         assert ev.rows(values, weights)[0] == pytest.approx(1.0 + math.log(0.1) / 1e3, rel=1e-15)
 
+    def test_row_without_mass(self):
+        # A row with no atom of positive weight: the mean is the empty sum
+        # either way, and the certainty equivalent fails the same way either way.
+        values = np.array([[1.0, 2.0], [3.0, 4.0]])
+        weights = np.array([[0.5, 0.5], [0.0, 0.0]])
+        self.assert_rows_equal_calls(make_expectation().sigma.evaluate, values, weights)
+        assert make_expectation().sigma.evaluate.rows(values, weights)[1] == 0.0
+        ev = make_entropic(1.0).sigma.evaluate
+        with pytest.raises(DomainError, match="needs an atom with positive weight"):
+            ev(values[1], weights[1])
+        with pytest.raises(DomainError, match="needs an atom with positive weight"):
+            ev.rows(values, weights)
+
 
 def broken_max_criterion() -> CriterionSpec:
     """Deliberately broken: takes the max over every coordinate, including

@@ -384,6 +384,26 @@ def _stuck_model() -> ModelSpec:
     )
 
 
+def _massless_kernel_model() -> ModelSpec:
+    """Under th1, the kernel row of (s0, a0) is all zero, so that sigma row
+    has no atom of positive weight. parse_model rejects such a row; a
+    ModelSpec built in code can hold one."""
+    kernel = np.zeros((2, 2, 1, 2))
+    kernel[0, 0, 0] = [0.0, 1.0]
+    kernel[:, 1, 0, 1] = 1.0
+    return ModelSpec(
+        horizon=2,
+        states=("s0", "s1"),
+        actions=("a0",),
+        parameters=("th0", "th1"),
+        prior=Belief(("th0", "th1"), np.array([0.5, 0.5])),
+        kernel=kernel,
+        cost=np.ones((2, 2, 1, 2)),
+        initial_state="s0",
+        admissible=np.ones((2, 2, 1), dtype=bool),
+    )
+
+
 def _batched_sweep_models():
     yield "sample", lambda sample_model: sample_model
     for T in range(3, 8):
@@ -477,6 +497,18 @@ class TestLevelBatchedSweep:
         assert [n.state for n in g.nodes_at(3)] == ["s2", "s1"]
         with pytest.raises(DomainError, match=r"^no admissible action at \(t=3, s2\)$"):
             solve_dp(m, crit, g)
+
+    def test_sigma_row_without_mass(self):
+        m = _massless_kernel_model()
+        g = build_reachable_belief_graph(m)
+        table, qmp = solve_dp(m, make_expectation(), g)
+        ref_table, ref_qmp = solve_dp(m, per_row(make_expectation()), g)
+        assert table.values == ref_table.values and qmp.table == ref_qmp.table
+        # The empty row adds nothing: 0.5 * (1 + 1) + 0.5 * (1 + 0).
+        assert table.root_value == 1.5
+        for crit in (make_entropic(1.0), per_row(make_entropic(1.0))):
+            with pytest.raises(DomainError, match="^entropic risk map needs an atom with positive weight$"):
+                solve_dp(m, crit, g)
 
 
 class TestStaticRecursiveDivergence:
