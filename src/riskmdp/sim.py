@@ -21,7 +21,7 @@ import numpy as np
 from .belief import _zero_probability
 from .engine import HistoryPolicy, QuasiMarkovPolicy, _policy_step, to_history_policy
 from .errors import DomainError, RiskMdpError
-from .model import Belief, ModelSpec, _normalize_exact, _normalize_rows
+from .model import Belief, ModelSpec, _normalize_rows_each
 
 
 @dataclass(frozen=True)
@@ -76,15 +76,9 @@ def _normalize_each(un: np.ndarray, errors: list) -> np.ndarray:
             errors[i] = DomainError("belief weights must be finite and nonnegative")
     ok = [i for i, e in enumerate(errors) if e is None]
     out = un.copy()
-    try:
-        out[ok] = _normalize_rows(un[ok])
-    except DomainError:
-        for i in ok:
-            row = _try(_normalize_exact, un[i])
-            if isinstance(row, RiskMdpError):
-                errors[i] = row
-            else:
-                out[i] = row
+    out[ok], failed = _normalize_rows_each(un[ok])
+    for j, e in failed.items():
+        errors[ok[j]] = e
     return out
 
 

@@ -22,6 +22,7 @@ from riskmdp import (
 from riskmdp.model import _normalize_exact, _normalize_rows
 
 from conftest import DATA, random_instance
+from test_normalize_reference import NONCONVERGING, reference_normalize_exact
 
 
 def sample_text() -> str:
@@ -265,11 +266,6 @@ class TestNormalizeExact:
         assert np.all(v >= 0.0)
 
 
-# Graph build with theta_grid (1,2,3,4,5) at horizon 5 makes this posterior;
-# no coordinate's ulp walk lands the sum on exactly 1.0.
-NONCONVERGING = [0.3164795289352155, 0.17965518781112608, 0.04283084668703709,
-                 0.004894695488887568, 0.0003540222497274457]
-
 skewed_entry = st.one_of(st.just(0.0), st.floats(min_value=1e-12, max_value=1e6), st.floats(0.0, 1.0))
 skewed_rows = st.integers(1, 8).flatmap(
     lambda n: st.lists(st.lists(skewed_entry, min_size=n, max_size=n), min_size=1, max_size=8))
@@ -281,7 +277,7 @@ class TestNormalizeRows:
     def test_property_matches_normalize_exact_bitwise(self, rows):
         a = np.array(rows)
         try:
-            expected = np.array([_normalize_exact(r) for r in a])
+            expected = np.array([reference_normalize_exact(r) for r in a])
         except DomainError as e:
             with pytest.raises(DomainError, match=str(e)):
                 _normalize_rows(a)
@@ -294,7 +290,7 @@ class TestNormalizeRows:
         a = rng.random((3000, 5)) ** rng.uniform(1.0, 20.0, size=(3000, 1))
         a[rng.random(a.shape) < 0.2] = 0.0
         a[:, 0] += 1e-3
-        expected = np.array([_normalize_exact(r) for r in a])
+        expected = np.array([reference_normalize_exact(r) for r in a])
         assert _normalize_rows(a).tobytes() == expected.tobytes()
 
     def test_same_error_on_the_nonconverging_vector(self):
