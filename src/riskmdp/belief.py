@@ -7,7 +7,7 @@ observed state/action history, so planning happens on the graph of
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -63,18 +63,22 @@ def predictive_next_state(m: ModelSpec, xi: Belief, x: str, u: str) -> np.ndarra
     return xi.weights @ m.kernel[:, j, k, :]
 
 
-def _check_history(m: ModelSpec, history: Sequence[str], actions: Sequence[str]) -> None:
+def _likelihoods(m: ModelSpec, history: Sequence[str], actions: Sequence[str]) -> np.ndarray:
+    """Check the history; return its path_likelihood under every parameter,
+    each a left-to-right product of kernel entries from 1."""
     if len(history) < 1:
         raise DomainError("history must contain at least the current state")
     if len(actions) != len(history) - 1:
         raise DomainError(
             f"need exactly one action per transition: {len(history)} states, {len(actions)} actions")
-    for s, (x, u) in enumerate(zip(history[:-1], actions), start=1):
-        j = m.state_index(x)
-        k = m.action_index(u)
+    lik = np.ones(len(m.parameters))
+    for s, (x, u, y) in enumerate(zip(history, actions, history[1:]), start=1):
+        j, k = m.state_index(x), m.action_index(u)
         if not m.admissible[s - 1, j, k]:
             raise DomainError(f"action {u!r} not admissible at (t={s}, {x})")
-    m.state_index(history[-1])
+        lik = lik * m.kernel[:, j, k, m.state_index(y)]
+    m.state_index(history[-1])  # a one-state history takes no step
+    return lik
 
 
 def path_likelihood(m: ModelSpec, theta: str, history: Sequence[str], actions: Sequence[str]) -> float:
@@ -82,15 +86,7 @@ def path_likelihood(m: ModelSpec, theta: str, history: Sequence[str], actions: S
 
     A history of length one has likelihood 1.
     """
-    _check_history(m, history, actions)
-    i = m.param_index(theta)
-    out = 1.0
-    for s in range(len(actions)):
-        j = m.state_index(history[s])
-        k = m.action_index(actions[s])
-        l = m.state_index(history[s + 1])
-        out *= float(m.kernel[i, j, k, l])
-    return out
+    return float(_likelihoods(m, history, actions)[m.param_index(theta)])
 
 
 def posterior_from_history(m: ModelSpec, history: Sequence[str], actions: Sequence[str]) -> Belief:
@@ -99,9 +95,7 @@ def posterior_from_history(m: ModelSpec, history: Sequence[str], actions: Sequen
     Proportional to prior(theta) times the path likelihood. Agrees with
     folding bayes_update over the transitions.
     """
-    _check_history(m, history, actions)
-    lik = np.array([path_likelihood(m, th, history, actions) for th in m.parameters])
-    un = m.prior.weights * lik
+    un = m.prior.weights * _likelihoods(m, history, actions)
     if float(un.sum()) <= 0.0:
         raise ZeroProbabilityObservation("history has zero probability under the prior")
     return Belief(m.parameters, un)
@@ -163,21 +157,26 @@ class BeliefGraph:
 
     Nodes are stored in insertion (breadth-first) order, so each level's
     nodes hold a contiguous run of ordinals. levels[t - 1] holds the nodes
-    at time t as arrays, for solvers that sweep a level at a time. edges
-    maps (node ordinal, action label, next state label) to the child
-    ordinal, for callers that work with labels.
+    at time t as arrays, and its children array is the graph's only edge
+    store.
     """
 
     model: ModelSpec
     nodes: tuple[BeliefNode, ...]
-    edges: dict[tuple[int, str, str], int]
     root: BeliefNode
     levels: tuple[GraphLevel, ...]
-    by_id: dict[str, BeliefNode] = field(default_factory=dict)
 
-    def __post_init__(self):
-        if not self.by_id:
-            object.__setattr__(self, "by_id", {n.id: n for n in self.nodes})
+    @property
+    def edges(self) -> dict[tuple[int, str, str], int]:
+        """(node ordinal, action, next state) -> child ordinal, derived from the
+        levels on each access, in build order: by level, row, action, next state."""
+        m, out = self.model, {}
+        for level in self.levels:
+            r, k, l = np.nonzero(level.children >= 0)
+            labels = zip(level.ordinals[r].tolist(), [m.actions[i] for i in k.tolist()],
+                         [m.states[i] for i in l.tolist()])
+            out.update(zip(labels, level.children[r, k, l].tolist()))
+        return out
 
     def nodes_at(self, t: int) -> list[BeliefNode]:
         if not 1 <= t <= len(self.levels):
@@ -185,8 +184,11 @@ class BeliefGraph:
         return [self.nodes[o] for o in self.levels[t - 1].ordinals.tolist()]
 
     def child(self, node: BeliefNode, u: str, x_next: str) -> BeliefNode | None:
-        idx = self.edges.get((node.ordinal, u, x_next))
-        return None if idx is None else self.nodes[idx]
+        """The node that action u and next state x_next lead to from node, or None."""
+        k, l = self.model.action_index(u), self.model.state_index(x_next)
+        level = self.levels[node.t - 1]
+        idx = int(level.children[node.ordinal - level.ordinals[0], k, l])
+        return None if idx < 0 else self.nodes[idx]
 
 
 def build_reachable_belief_graph(m: ModelSpec, node_cap: int = DEFAULT_NODE_CAP) -> BeliefGraph:
@@ -203,13 +205,12 @@ def build_reachable_belief_graph(m: ModelSpec, node_cap: int = DEFAULT_NODE_CAP)
     """
     if node_cap < 1:
         raise DomainError(f"node_cap must be >= 1, got {node_cap}")
-    if m.horizon > 1 and m.prior.params != m.parameters:
+    if m.prior.params != m.parameters:
         raise DomainError("belief is not over this model's parameters")
 
     root = BeliefNode(id=belief_fingerprint(1, m.initial_state, m.prior.weights), t=1,
                       state=m.initial_state, belief=m.prior, ordinal=0)
     nodes = [root]
-    edges: dict[tuple[int, str, str], int] = {}
     levels: list[GraphLevel] = []
     xs = np.array([m.state_index(m.initial_state)])
     weights = m.prior.weights[None, :]
@@ -248,15 +249,8 @@ def build_reachable_belief_graph(m: ModelSpec, node_cap: int = DEFAULT_NODE_CAP)
             nodes.append(BeliefNode(id=key, t=t + 1, state=m.states[nxt_list[e]],
                                     belief=Belief._normalized(m.parameters, weights[r]),
                                     ordinal=base + r))
-        # Edges reuse the nodes' ordinal objects rather than holding a new
-        # int object each.
-        parents = [n.ordinal for n in nodes[first:base]]
-        new = [n.ordinal for n in nodes[base:]]
-        labels = zip([parents[r] for r in src.tolist()], [m.actions[k] for k in act.tolist()],
-                     [m.states[y] for y in nxt_list])
-        edges.update(zip(labels, [new[i] for i in local]))
 
-    return BeliefGraph(model=m, nodes=tuple(nodes), edges=edges, root=root, levels=tuple(levels))
+    return BeliefGraph(model=m, nodes=tuple(nodes), root=root, levels=tuple(levels))
 
 
 def graph_to_json(graph: BeliefGraph) -> dict:

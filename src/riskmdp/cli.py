@@ -247,8 +247,9 @@ def _dispatch(args) -> int:
     if cmd == "beliefs":
         m = _load_model(args.model)
         graph = build_reachable_belief_graph(m, node_cap=args.node_cap)
-        _stage(f"beliefs: {len(graph.nodes)} nodes, {len(graph.edges)} edges")
-        _emit(json.dumps(graph_to_json(graph), indent=2), args.out)
+        doc = graph_to_json(graph)
+        _stage(f"beliefs: {len(graph.nodes)} nodes, {len(doc['edges'])} edges")
+        _emit(json.dumps(doc, indent=2), args.out)
         return 0
 
     raise _UsageError(f"unknown subcommand {cmd!r}")

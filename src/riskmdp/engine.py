@@ -447,8 +447,9 @@ def parse_policy(source: str | dict, m: ModelSpec, graph: BeliefGraph | None = N
             raise DomainError("resolving a quasi_markov policy requires the belief graph")
         if "table" not in doc or not isinstance(doc["table"], dict):
             raise SchemaError("quasi_markov policy requires a 'table' object")
+        ids = {n.id for n in graph.nodes}
         for node_id, u in doc["table"].items():
-            if node_id not in graph.by_id:
+            if node_id not in ids:
                 raise DomainError(f"policy names unknown belief node {node_id!r}")
             m.action_index(u)
         return QuasiMarkovPolicy(table=dict(doc["table"]), graph=graph)

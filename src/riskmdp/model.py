@@ -529,6 +529,20 @@ def _validate_raw(m: ModelSpec, prior_vec: np.ndarray) -> list[Issue]:
     def warn(code, msg):
         issues.append(Issue("warning", code, msg))
 
+    # A code-built model can carry arrays or a prior that do not fit its
+    # labels; the checks below would index them wrongly, so stop here.
+    n_s, n_a, n_p, h = len(m.states), len(m.actions), len(m.parameters), m.horizon
+    if m.prior.params != m.parameters:
+        err("prior", f"prior is over parameters {m.prior.params}, not {m.parameters}")
+    shapes = [("kernel", m.kernel, (n_p, n_s, n_a, n_s))]
+    if h >= 1:  # below 1 the horizon error stands for the time axis
+        shapes += [("cost", m.cost, (h, n_s, n_a, n_p)), ("admissible", m.admissible, (h, n_s, n_a))]
+    for name, a, shape in shapes:
+        if a.shape != shape:
+            err(name, f"{name} has shape {a.shape}, expected {shape}")
+    if issues:
+        return issues
+
     if m.horizon < 1:
         err("horizon", f"horizon must be >= 1, got {m.horizon}")
     if m.initial_state not in m.states:

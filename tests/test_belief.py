@@ -312,10 +312,27 @@ class TestGraph:
         assert len(g.nodes) == 1
         assert len(g.edges) == 0
 
-    def test_by_id_lookup(self, sample_model):
+    def test_child_rejects_unknown_labels(self, sample_model):
         g = build_reachable_belief_graph(sample_model)
+        with pytest.raises(DomainError):
+            g.child(g.root, "zz", "s0")
+        with pytest.raises(DomainError):
+            g.child(g.root, "a0", "zz")
+
+    @pytest.mark.parametrize("seed", [2, 11])  # inadmissible moves; merges
+    def test_child_agrees_with_edges(self, seed):
+        m = random_instance(seed, horizon=3, n_states=3, n_actions=2)
+        g = build_reachable_belief_graph(m)
+        edges = g.edges
         for n in g.nodes:
-            assert g.by_id[n.id] is n
+            for u in m.actions:
+                for y in m.states:
+                    child = g.child(n, u, y)
+                    if n.t == m.horizon:
+                        assert child is None
+                    else:
+                        assert (child is None) == ((n.ordinal, u, y) not in edges)
+                        assert child is None or child.ordinal == edges[n.ordinal, u, y]
 
     def test_json_export(self, sample_model):
         g = build_reachable_belief_graph(sample_model)

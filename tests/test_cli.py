@@ -282,6 +282,7 @@ class TestAxiomsAndBeliefs:
         doc = json.loads(captured.out)
         assert len(doc["nodes"]) == 5
         assert len(doc["edges"]) == 4
+        assert "beliefs: 5 nodes, 4 edges" in captured.err.splitlines()
 
     def test_beliefs_node_cap(self, capsys):
         assert run_cli(["beliefs", "--model", MODEL, "--node-cap", "1"]) == 3

@@ -1,5 +1,6 @@
 """Model parsing, validation, serialization, beliefs, and the trial generator."""
 
+import dataclasses
 import json
 import math
 
@@ -13,6 +14,7 @@ from riskmdp import (
     DomainError,
     SchemaError,
     ValidationError,
+    build_reachable_belief_graph,
     gen_clinical_trials_model,
     logistic_response,
     parse_model,
@@ -242,6 +244,27 @@ class TestValidationErrors:
         assert any(i.severity == "warning" and i.code == "unreachable"
                    and "s0" in i.message and "a1" in i.message for i in issues)
         assert all(i.severity == "warning" for i in issues)
+
+
+def _misfit(seed: int, horizon: int, field: str):
+    """A code-built model with one part that does not fit its labels."""
+    m = random_instance(seed, n_states=2, n_actions=2, n_params=3, horizon=horizon)
+    if field == "prior":
+        return dataclasses.replace(m, prior=Belief(m.parameters[:2], np.array([0.5, 0.5])))
+    return dataclasses.replace(m, **{field: getattr(m, field)[:-1]})
+
+
+@pytest.mark.parametrize("field", ["prior", "kernel", "cost", "admissible"])
+@pytest.mark.parametrize("horizon", [1, 2])
+def test_misfit_code_built_model_is_an_error(field, horizon):
+    issues = validate_model(_misfit(5, horizon, field))
+    assert [(i.severity, i.code) for i in issues] == [("error", field)]
+
+
+@pytest.mark.parametrize("horizon", [1, 2])
+def test_graph_rejects_a_prior_over_other_parameters(horizon):
+    with pytest.raises(DomainError, match="not over this model's parameters"):
+        build_reachable_belief_graph(_misfit(5, horizon, "prior"))
 
 
 class TestNormalizeExact:
