@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
 """Print SHA-256 digests of the solver's JSON outputs on a fixed model set.
 
-For every model: one line with the digest of the belief-graph JSON, then,
-per criterion, one line with the digests of the value-table JSON and of the
-policy JSON. The criteria are the expectation and the entropic one at
+For every model: one line with the digest of its serialize_model text
+(after checking that parse_model reads that text back as the same model),
+one with the digest of the belief-graph JSON, then, per criterion, one line
+with the digests of the value-table JSON and of the policy JSON. The criteria are the expectation and the entropic one at
 kappa 1e-3, 1 and 5. A model that raises prints the error instead. Run it
 on two checkouts and diff the outputs to check that a change keeps the bytes:
 
@@ -39,6 +40,7 @@ from riskmdp import (
     make_expectation,
     parse_model,
     policy_to_json,
+    serialize_model,
     solve_dp,
     value_table_to_json,
 )
@@ -74,8 +76,9 @@ def models(name: str) -> Iterator[tuple[str, object]]:
         yield f"3x3x4-{s}", lambda s=s: random_instance(s, n_states=3, n_actions=3, n_params=4, horizon=4)
 
 
-def digest(doc: dict) -> str:
-    return hashlib.sha256(json.dumps(doc).encode()).hexdigest()
+def digest(doc: dict | str) -> str:
+    text = doc if isinstance(doc, str) else json.dumps(doc)
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def main() -> None:
@@ -88,6 +91,10 @@ def main() -> None:
     for label, make in models(args.set):
         try:
             m = make()
+            text = serialize_model(m)
+            if parse_model(text) != m:
+                raise AssertionError(f"{label}: parse_model(serialize_model(m)) != m")
+            print(f"{label}\tmodel\t{digest(text)}")
             g = build_reachable_belief_graph(m)
         except RiskMdpError as e:
             print(f"{label}\terror\t{type(e).__name__}: {e}")

@@ -50,16 +50,10 @@ def _build_parser() -> _Parser:
     p = _Parser(prog="riskmdp", description="Risk-averse Bayesian MDP solver toolkit")
     sub = p.add_subparsers(dest="subcommand", metavar="subcommand")
 
-    def add(name: str, **kwargs) -> argparse.ArgumentParser:
-        sp = sub.add_parser(name, **kwargs)
-        sp.add_argument("--threads", type=int, default=1,
-                        help="accepted for compatibility; currently has no effect")
-        return sp
-
-    sp = add("validate", help="check a model document against every invariant")
+    sp = sub.add_parser("validate", help="check a model document against every invariant")
     sp.add_argument("--model", required=True)
 
-    sp = add("solve", help="backward induction over the reachable belief graph")
+    sp = sub.add_parser("solve", help="backward induction over the reachable belief graph")
     sp.add_argument("--model", required=True)
     sp.add_argument("--criterion", action="append", required=True,
                     help="inline JSON or a path to a JSON file")
@@ -67,19 +61,19 @@ def _build_parser() -> _Parser:
     sp.add_argument("--out", help="write the value table JSON here (default stdout)")
     sp.add_argument("--policy", help="also write the extracted policy JSON here")
 
-    sp = add("evaluate", help="value of a given policy at the initial history")
+    sp = sub.add_parser("evaluate", help="value of a given policy at the initial history")
     sp.add_argument("--model", required=True)
     sp.add_argument("--criterion", action="append", required=True)
     sp.add_argument("--policy", required=True, help="policy JSON file")
     sp.add_argument("--node-cap", type=int, default=1_000_000)
     sp.add_argument("--out")
 
-    sp = add("oracle", help="exhaustive policy search for certification")
+    sp = sub.add_parser("oracle", help="exhaustive policy search for certification")
     sp.add_argument("--model", required=True)
     sp.add_argument("--criterion", action="append", required=True)
     sp.add_argument("--out")
 
-    sp = add("simulate", help="Monte-Carlo rollouts under a designated true parameter")
+    sp = sub.add_parser("simulate", help="Monte-Carlo rollouts under a designated true parameter")
     sp.add_argument("--model", required=True)
     sp.add_argument("--policy", required=True)
     sp.add_argument("--theta-star", required=True)
@@ -88,13 +82,13 @@ def _build_parser() -> _Parser:
     sp.add_argument("--node-cap", type=int, default=1_000_000)
     sp.add_argument("--out", help="write trajectory CSV here; summary JSON goes to stdout")
 
-    sp = add("check-axioms", help="randomized axiom probe for a built-in criterion")
+    sp = sub.add_parser("check-axioms", help="randomized axiom probe for a built-in criterion")
     sp.add_argument("--criterion", action="append", required=True)
     sp.add_argument("--samples", type=int, default=1000)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--out")
 
-    sp = add("beliefs", help="export the reachable belief graph")
+    sp = sub.add_parser("beliefs", help="export the reachable belief graph")
     sp.add_argument("--model", required=True)
     sp.add_argument("--node-cap", type=int, default=1_000_000)
     sp.add_argument("--out")
@@ -155,18 +149,12 @@ def _emit(payload: str, out: str | None) -> None:
         sys.stdout.write(payload if payload.endswith("\n") else payload + "\n")
 
 
-def _check_threads(n: int) -> None:
-    if n < 1:
-        raise _UsageError(f"--threads must be >= 1, got {n}")
-
-
 def run_cli(argv: list[str]) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
         if not args.subcommand:
             raise _UsageError("a subcommand is required")
-        _check_threads(args.threads)
         return _dispatch(args)
     except _UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)

@@ -8,10 +8,11 @@ decisions happen at t = 1..horizon.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -270,7 +271,7 @@ class ModelSpec:
 
     def __post_init__(self):
         if self.admissible is None:
-            adm = np.ones((self.horizon, len(self.states), len(self.actions)), dtype=bool)
+            adm = np.ones((max(self.horizon, 0), len(self.states), len(self.actions)), dtype=bool)
             object.__setattr__(self, "admissible", adm)
         object.__setattr__(self, "kernel", _readonly(self.kernel))
         object.__setattr__(self, "cost", _readonly(self.cost))
@@ -346,6 +347,49 @@ def _label_list(raw, name: str) -> tuple[str, ...]:
     return tuple(raw)
 
 
+class _Axis(NamedTuple):
+    """One level of a nested table: what its keys name, the declared labels,
+    and how an error message names a key outside them."""
+    name: str
+    labels: tuple[str, ...]
+    unknown: str
+
+
+def _entries(raw, where: str, axes: Sequence[_Axis], required: int) -> Iterator[tuple[tuple[int, ...], object, str]]:
+    """Yield (index tuple, leaf, path) for each leaf of a table nested along axes.
+
+    Every level must be an object whose keys are labels of its axis; the
+    first `required` levels must name every label, deeper ones may leave
+    labels out. Leaves come in declared label order and are not checked.
+    """
+    axis, rest = axes[0], axes[1:]
+    _expect(isinstance(raw, dict), f"{where} must be an object keyed by {axis.name}")
+    if required > 0:
+        missing = next((label for label in axis.labels if label not in raw), None)
+        _expect(missing is None, f"{where} missing {axis.name} {missing!r}")
+    unknown = set(raw) - set(axis.labels)
+    _expect(not unknown, f"{where} names {axis.unknown}: {sorted(unknown)}")
+    for i, label in enumerate(axis.labels):
+        if label not in raw:
+            continue
+        path = f"{where}[{label!r}]"
+        if not rest:
+            yield (i,), raw[label], path
+            continue
+        for idx, leaf, leaf_path in _entries(raw[label], path, rest, required - 1):
+            yield (i, *idx), leaf, leaf_path
+
+
+def _number(v, path: str) -> float:
+    """v as a float; a bool, a non-number or an int beyond float range is a SchemaError."""
+    if isinstance(v, (int, float)) and not isinstance(v, bool):
+        try:
+            return float(v)
+        except OverflowError:
+            pass
+    raise SchemaError(f"{path} must be a number")
+
+
 def parse_model(text: str) -> ModelSpec:
     """Parse a model JSON document.
 
@@ -369,83 +413,35 @@ def parse_model(text: str) -> ModelSpec:
     states = _label_list(doc["states"], "states")
     actions = _label_list(doc["actions"], "actions")
     params = _label_list(doc["parameters"], "parameters")
-
-    prior_raw = doc["prior"]
-    _expect(isinstance(prior_raw, dict), "prior must be an object")
-    for k, v in prior_raw.items():
-        _expect(isinstance(k, str), "prior keys must be strings")
-        _expect(isinstance(v, (int, float)) and not isinstance(v, bool), "prior values must be numbers")
-    unknown = set(prior_raw) - set(params)
-    _expect(not unknown, f"prior names unknown parameters: {sorted(unknown)}")
-    prior_vec = np.array([float(prior_raw.get(p, 0.0)) for p in params])
-
-    kernel_raw = doc["kernel"]
-    _expect(isinstance(kernel_raw, dict), "kernel must be an object keyed by parameter")
-    kernel = np.zeros((len(params), len(states), len(actions), len(states)))
-    for i, th in enumerate(params):
-        _expect(th in kernel_raw, f"kernel missing parameter {th!r}")
-        per_state = kernel_raw[th]
-        _expect(isinstance(per_state, dict), f"kernel[{th!r}] must be an object keyed by state")
-        for j, x in enumerate(states):
-            _expect(x in per_state, f"kernel[{th!r}] missing state {x!r}")
-            per_action = per_state[x]
-            _expect(isinstance(per_action, dict), f"kernel[{th!r}][{x!r}] must be an object keyed by action")
-            for k, u in enumerate(actions):
-                _expect(u in per_action, f"kernel[{th!r}][{x!r}] missing action {u!r}")
-                row = per_action[u]
-                _expect(isinstance(row, dict), f"kernel[{th!r}][{x!r}][{u!r}] must be an object keyed by next state")
-                bad = set(row) - set(states)
-                _expect(not bad, f"kernel[{th!r}][{x!r}][{u!r}] names unknown states: {sorted(bad)}")
-                for y, p in row.items():
-                    _expect(isinstance(p, (int, float)) and not isinstance(p, bool),
-                            f"kernel[{th!r}][{x!r}][{u!r}][{y!r}] must be a number")
-                kernel[i, j, k] = [float(row.get(y, 0.0)) for y in states]
-
     cost_raw = doc["cost"]
-    _expect(isinstance(cost_raw, dict), "cost must be an object keyed by time")
-    cost = np.zeros((max(horizon, 1), len(states), len(actions), len(params)))
-    if horizon >= 1:
-        for t in range(1, horizon + 1):
-            key = str(t)
-            _expect(key in cost_raw, f"cost missing time {key!r}")
-            per_state = cost_raw[key]
-            _expect(isinstance(per_state, dict), f"cost[{key!r}] must be an object keyed by state")
-            for j, x in enumerate(states):
-                _expect(x in per_state, f"cost[{key!r}] missing state {x!r}")
-                per_action = per_state[x]
-                _expect(isinstance(per_action, dict), f"cost[{key!r}][{x!r}] must be an object keyed by action")
-                for k, u in enumerate(actions):
-                    _expect(u in per_action, f"cost[{key!r}][{x!r}] missing action {u!r}")
-                    per_theta = per_action[u]
-                    _expect(isinstance(per_theta, dict), f"cost[{key!r}][{x!r}][{u!r}] must be an object keyed by parameter")
-                    bad = set(per_theta) - set(params)
-                    _expect(not bad, f"cost[{key!r}][{x!r}][{u!r}] names unknown parameters: {sorted(bad)}")
-                    for i, th in enumerate(params):
-                        _expect(th in per_theta, f"cost[{key!r}][{x!r}][{u!r}] missing parameter {th!r}")
-                        v = per_theta[th]
-                        _expect(isinstance(v, (int, float)) and not isinstance(v, bool),
-                                f"cost[{key!r}][{x!r}][{u!r}][{th!r}] must be a number")
-                        cost[t - 1, j, k, i] = float(v)
-        extra_t = set(cost_raw) - {str(t) for t in range(1, horizon + 1)}
-        _expect(not extra_t, f"cost names times outside 1..{horizon}: {sorted(extra_t)}")
+    if isinstance(cost_raw, dict) and len(cost_raw) < horizon:
+        # Found before any per-time label or array exists, so a huge horizon costs nothing.
+        first = next(t for t in map(str, range(1, horizon + 1)) if t not in cost_raw)
+        raise SchemaError(f"cost missing time {first!r}")
 
-    admissible = np.ones((max(horizon, 1), len(states), len(actions)), dtype=bool)
-    if "admissible" in doc:
-        adm_raw = doc["admissible"]
-        _expect(isinstance(adm_raw, dict), "admissible must be an object keyed by time")
-        for key, per_state in adm_raw.items():
-            _expect(key.isdigit() and 1 <= int(key) <= horizon,
-                    f"admissible names a time outside 1..{horizon}: {key!r}")
-            t = int(key)
-            _expect(isinstance(per_state, dict), f"admissible[{key!r}] must be an object keyed by state")
-            bad = set(per_state) - set(states)
-            _expect(not bad, f"admissible[{key!r}] names unknown states: {sorted(bad)}")
-            for x, acts in per_state.items():
-                _expect(isinstance(acts, list), f"admissible[{key!r}][{x!r}] must be a list of actions")
-                bad_u = set(acts) - set(actions)
-                _expect(not bad_u, f"admissible[{key!r}][{x!r}] names unknown actions: {sorted(bad_u)}")
-                j = states.index(x)
-                admissible[t - 1, j] = [u in acts for u in actions]
+    times = _Axis("time", tuple(str(t) for t in range(1, horizon + 1)), f"times outside 1..{horizon}")
+    state = _Axis("state", states, "unknown states")
+    action = _Axis("action", actions, "unknown actions")
+    param = _Axis("parameter", params, "unknown parameters")
+    n_t, n_s, n_a, n_p = len(times.labels), len(states), len(actions), len(params)
+
+    prior_vec = np.zeros(n_p)
+    for idx, v, path in _entries(doc["prior"], "prior", (param,), required=0):
+        prior_vec[idx] = _number(v, path)
+    kernel = np.zeros((n_p, n_s, n_a, n_s))
+    next_state = state._replace(name="next state")
+    for idx, v, path in _entries(doc["kernel"], "kernel", (param, state, action, next_state), required=3):
+        kernel[idx] = _number(v, path)
+    cost = np.zeros((n_t, n_s, n_a, n_p))
+    for idx, v, path in _entries(cost_raw, "cost", (times, state, action, param), required=4):
+        cost[idx] = _number(v, path)
+    admissible = np.ones((n_t, n_s, n_a), dtype=bool)
+    for idx, acts, path in _entries(doc.get("admissible", {}), "admissible", (times, state), required=0):
+        _expect(isinstance(acts, list) and all(isinstance(u, str) for u in acts),
+                f"{path} must be a list of actions")
+        bad = set(acts) - set(actions)
+        _expect(not bad, f"{path} names unknown actions: {sorted(bad)}")
+        admissible[idx] = [u in acts for u in actions]
 
     _expect(isinstance(doc["initial_state"], str), "initial_state must be a string")
 
@@ -454,7 +450,7 @@ def parse_model(text: str) -> ModelSpec:
         states=states,
         actions=actions,
         parameters=params,
-        prior=Belief(params, np.ones(len(params)) / len(params)),  # placeholder until validated
+        prior=Belief(params, np.ones(n_p) / n_p),  # placeholder until validated
         kernel=kernel,
         cost=cost,
         initial_state=doc["initial_state"],
@@ -466,54 +462,32 @@ def parse_model(text: str) -> ModelSpec:
         raise ValidationError(errors)
 
     # Renormalize exactly once, after the tolerance check passed.
-    kernel_n = _normalize_rows(kernel.reshape(-1, len(states))).reshape(kernel.shape)
-    return ModelSpec(
-        horizon=horizon,
-        states=states,
-        actions=actions,
-        parameters=params,
-        prior=Belief(params, prior_vec),
-        kernel=kernel_n,
-        cost=cost,
-        initial_state=doc["initial_state"],
-        admissible=admissible,
-    )
+    kernel_n = _normalize_rows(kernel.reshape(-1, n_s)).reshape(kernel.shape)
+    return dataclasses.replace(raw, prior=Belief(params, prior_vec), kernel=kernel_n)
+
+
+def _nested(table: list, *axes: Sequence[str]):
+    """The nested object _entries reads back as table (nested lists, as from
+    ndarray.tolist()): keyed by the labels of axes[0], then axes[1], ..."""
+    if not axes:
+        return table
+    return {label: _nested(row, *axes[1:]) for label, row in zip(axes[0], table, strict=True)}
 
 
 def serialize_model(m: ModelSpec) -> str:
     """Serialize to the same JSON layout parse_model accepts. Round-trips exactly."""
+    times = [str(t) for t in range(1, m.horizon + 1)]
     doc = {
         "horizon": m.horizon,
         "states": list(m.states),
         "actions": list(m.actions),
         "parameters": list(m.parameters),
         "prior": m.prior.as_dict(),
-        "kernel": {
-            th: {
-                x: {
-                    u: {y: float(m.kernel[i, j, k, l]) for l, y in enumerate(m.states)}
-                    for k, u in enumerate(m.actions)
-                }
-                for j, x in enumerate(m.states)
-            }
-            for i, th in enumerate(m.parameters)
-        },
-        "cost": {
-            str(t): {
-                x: {
-                    u: {th: float(m.cost[t - 1, j, k, i]) for i, th in enumerate(m.parameters)}
-                    for k, u in enumerate(m.actions)
-                }
-                for j, x in enumerate(m.states)
-            }
-            for t in range(1, m.horizon + 1)
-        },
+        "kernel": _nested(m.kernel.tolist(), m.parameters, m.states, m.actions, m.states),
+        "cost": _nested(m.cost.tolist(), times, m.states, m.actions, m.parameters),
         "admissible": {
-            str(t): {
-                x: [u for k, u in enumerate(m.actions) if m.admissible[t - 1, j, k]]
-                for j, x in enumerate(m.states)
-            }
-            for t in range(1, m.horizon + 1)
+            t: {x: [u for u, ok in zip(m.actions, row) if ok] for x, row in zip(m.states, rows)}
+            for t, rows in zip(times, m.admissible)
         },
         "initial_state": m.initial_state,
     }

@@ -61,6 +61,13 @@ class TestValidate:
         assert run_cli(["validate", "--model", str(bad)]) == 1
         assert "invalid input" in capsys.readouterr().err
 
+    def test_schema_hole_is_invalid_input(self, tmp_path, capsys):
+        doc = json.loads(DATA.joinpath("sample_model.json").read_text())
+        doc["admissible"]["1"]["s0"] = [["a0"]]
+        bad = write_json(tmp_path / "bad.json", doc)
+        assert run_cli(["validate", "--model", bad]) == 1
+        assert "invalid input" in capsys.readouterr().err
+
     def test_missing_file_is_usage_error(self, tmp_path, capsys):
         assert run_cli(["validate", "--model", str(tmp_path / "gone.json")]) == 2
         assert "usage error" in capsys.readouterr().err
@@ -105,15 +112,6 @@ class TestSolve:
         capsys.readouterr()
         assert a.read_bytes() == b.read_bytes()
 
-    def test_thread_count_does_not_change_output(self, tmp_path, capsys):
-        a, b = tmp_path / "a.json", tmp_path / "b.json"
-        assert run_cli(["solve", "--model", MODEL, "--criterion", ENTROPIC,
-                        "--out", str(a), "--threads", "1"]) == 0
-        assert run_cli(["solve", "--model", MODEL, "--criterion", ENTROPIC,
-                        "--out", str(b), "--threads", "4"]) == 0
-        capsys.readouterr()
-        assert a.read_bytes() == b.read_bytes()
-
     def test_criterion_from_file(self, tmp_path, capsys):
         crit = tmp_path / "crit.json"
         crit.write_text(ENTROPIC)
@@ -149,9 +147,6 @@ class TestUsageErrors:
         assert run_cli(["solve", "--model", MODEL, "--criterion",
                         '{"type": "entropic", "kappa": -1}']) == 2
         assert "kappa > 0" in capsys.readouterr().err
-
-    def test_bad_thread_count(self, capsys):
-        assert run_cli(["validate", "--model", MODEL, "--threads", "0"]) == 2
 
     def test_unknown_criterion_type(self, capsys):
         assert run_cli(["solve", "--model", MODEL, "--criterion",

@@ -173,6 +173,38 @@ class TestSchemaErrors:
             parse_model(json.dumps(doc))
 
 
+def _one_time_cost_huge_horizon(d):
+    d["horizon"] = 10**15
+    d["cost"] = {"1": d["cost"]["1"]}
+    del d["admissible"]
+
+
+# Documents that escaped the schema checks: a crash other than SchemaError,
+# a huge allocation, or a key silently dropped or misread.
+PARSE_HOLES = {
+    "admissible-entry-not-a-label": (lambda d: d["admissible"]["1"].update(s0=[["a0"]]), "list of actions"),
+    "prior-beyond-float-range": (lambda d: d["prior"].update(th1=2**1100), "number"),
+    "kernel-beyond-float-range": (lambda d: d["kernel"]["th1"]["s0"]["a0"].update(s0=2**1100), "number"),
+    "cost-beyond-float-range": (lambda d: d["cost"]["1"]["s0"]["a0"].update(th1=2**1100), "number"),
+    "kernel-unknown-parameter": (lambda d: d["kernel"].update(th9=d["kernel"]["th1"]), "unknown parameters"),
+    "kernel-unknown-state": (lambda d: d["kernel"]["th1"].update(s9=d["kernel"]["th1"]["s0"]), "unknown states"),
+    "kernel-unknown-action": (lambda d: d["kernel"]["th1"]["s0"].update(a9=d["kernel"]["th1"]["s0"]["a0"]),
+                              "unknown actions"),
+    "cost-unknown-state": (lambda d: d["cost"]["1"].update(s9=d["cost"]["1"]["s0"]), "unknown states"),
+    "cost-unknown-action": (lambda d: d["cost"]["1"]["s0"].update(a9=d["cost"]["1"]["s0"]["a0"]), "unknown actions"),
+    "admissible-time-not-canonical": (lambda d: d["admissible"].update({"01": {"s0": ["a0"]}}), "outside"),
+    "huge-horizon-one-time-cost": (_one_time_cost_huge_horizon, "missing time '2'"),
+}
+
+
+@pytest.mark.parametrize("mutate, match", PARSE_HOLES.values(), ids=PARSE_HOLES.keys())
+def test_parse_hole_is_a_schema_error(mutate, match):
+    doc = json.loads(sample_text())
+    mutate(doc)
+    with pytest.raises(SchemaError, match=match):
+        parse_model(json.dumps(doc))
+
+
 class TestValidationErrors:
     def broken(self, mutate) -> str:
         doc = json.loads(sample_text())
@@ -259,6 +291,11 @@ def _misfit(seed: int, horizon: int, field: str):
 def test_misfit_code_built_model_is_an_error(field, horizon):
     issues = validate_model(_misfit(5, horizon, field))
     assert [(i.severity, i.code) for i in issues] == [("error", field)]
+
+
+def test_negative_horizon_without_admissible_is_reported():
+    m = dataclasses.replace(random_instance(5), horizon=-1, admissible=None)
+    assert [(i.severity, i.code) for i in validate_model(m)] == [("error", "horizon")]
 
 
 @pytest.mark.parametrize("horizon", [1, 2])
