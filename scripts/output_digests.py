@@ -4,8 +4,8 @@
 For every model: one line with the digest of its serialize_model text
 (after checking that parse_model reads that text back as the same model),
 one with the digest of the belief-graph JSON, then, per criterion, one line
-with the digests of the value-table JSON and of the policy JSON. The criteria are the expectation and the entropic one at
-kappa 1e-3, 1 and 5. A model that raises prints the error instead. Run it
+with the digests of the value-table JSON and of the policy JSON. The
+criteria are the expectation and the entropic one at kappa 1e-3, 1 and 5. A model that raises prints the error instead. Run it
 on two checkouts and diff the outputs to check that a change keeps the bytes:
 
     PYTHONPATH=src python scripts/output_digests.py --set full > after.txt

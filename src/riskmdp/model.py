@@ -414,7 +414,8 @@ def parse_model(text: str) -> ModelSpec:
     actions = _label_list(doc["actions"], "actions")
     params = _label_list(doc["parameters"], "parameters")
     cost_raw = doc["cost"]
-    if isinstance(cost_raw, dict) and len(cost_raw) < horizon:
+    _expect(isinstance(cost_raw, dict), "cost must be an object keyed by time")
+    if len(cost_raw) < horizon:
         # Found before any per-time label or array exists, so a huge horizon costs nothing.
         first = next(t for t in map(str, range(1, horizon + 1)) if t not in cost_raw)
         raise SchemaError(f"cost missing time {first!r}")

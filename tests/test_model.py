@@ -205,6 +205,13 @@ def test_parse_hole_is_a_schema_error(mutate, match):
         parse_model(json.dumps(doc))
 
 
+def test_huge_horizon_with_a_non_object_cost():
+    doc = json.loads(sample_text())
+    doc.update(horizon=10**15, cost=[])
+    with pytest.raises(SchemaError, match="cost must be an object"):
+        parse_model(json.dumps(doc))
+
+
 class TestValidationErrors:
     def broken(self, mutate) -> str:
         doc = json.loads(sample_text())
