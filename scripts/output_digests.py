@@ -4,9 +4,12 @@
 For every model: one line with the digest of its serialize_model text
 (after checking that parse_model reads that text back as the same model),
 one with the digest of the belief-graph JSON, then, per criterion, one line
-with the digests of the value-table JSON and of the policy JSON. The
-criteria are the expectation and the entropic one at kappa 1e-3, 1 and 5. A model that raises prints the error instead. Run it
-on two checkouts and diff the outputs to check that a change keeps the bytes:
+with the digests of the value-table JSON and of the policy JSON, and one
+with the digest of the policy unfolded into a history policy. Both policies
+must read back through parse_policy as the same JSON. The criteria are the
+expectation and the entropic one at kappa 1e-3, 1 and 5. A model that
+raises prints the error instead. Run it on two checkouts and diff the
+outputs to check that a change keeps the bytes:
 
     PYTHONPATH=src python scripts/output_digests.py --set full > after.txt
 
@@ -39,9 +42,11 @@ from riskmdp import (
     make_entropic,
     make_expectation,
     parse_model,
+    parse_policy,
     policy_to_json,
     serialize_model,
     solve_dp,
+    to_history_policy,
     value_table_to_json,
 )
 from riskmdp.model import random_instance
@@ -106,8 +111,13 @@ def main() -> None:
             except RiskMdpError as e:
                 print(f"{label}\t{name}\terror\t{type(e).__name__}: {e}")
                 continue
+            policy, history = policy_to_json(qmp), policy_to_json(to_history_policy(qmp, m))
             print(f"{label}\t{name}\tvalues {digest(value_table_to_json(table, qmp))}"
-                  f"\tpolicy {digest(policy_to_json(qmp))}")
+                  f"\tpolicy {digest(policy)}")
+            for doc in (policy, history):
+                if digest(policy_to_json(parse_policy(doc, m, g))) != digest(doc):
+                    raise AssertionError(f"{label}, {name}: a {doc['type']} policy does not read back as itself")
+            print(f"{label}\t{name}\thistory {digest(history)}")
 
 
 if __name__ == "__main__":

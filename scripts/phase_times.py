@@ -51,7 +51,7 @@ def one_repeat(text: str) -> tuple[dict, int, int]:
         table, qmp = timed(times, f"solve {name}", solve_dp, m, crit, g)
         timed(times, "values JSON", lambda: json.dumps(value_table_to_json(table, qmp)))
         timed(times, "policy JSON", lambda: json.dumps(policy_to_json(qmp)))
-    return times, len(g.nodes), len(g.edges)
+    return times, len(g.ids), len(g.edges)
 
 
 def main() -> None:

@@ -43,18 +43,18 @@ def main() -> None:
         raise SystemExit(1)
 
     graph = build_reachable_belief_graph(m)
-    print(f"belief graph: {len(graph.nodes)} nodes, {len(graph.edges)} edges")
+    print(f"belief graph: {len(graph.ids)} nodes, {len(graph.edges)} edges")
 
     table_exp, qmp_exp = solve_dp(m, make_expectation(), graph)
     print(f"{'criterion':<18}{'root value':>14}{'first dose':>12}")
     print(f"{'expectation':<18}{table_exp.root_value:>14.8f}"
-          f"{qmp_exp.table[graph.root.id]:>12}")
+          f"{qmp_exp.action(0):>12}")
 
     chosen = None
     for kappa in args.kappa:
         table, qmp = solve_dp(m, make_entropic(kappa), graph)
         print(f"{f'entropic({kappa:g})':<18}{table.root_value:>14.8f}"
-              f"{qmp.table[graph.root.id]:>12}")
+              f"{qmp.action(0):>12}")
         if chosen is None:
             chosen = qmp
 

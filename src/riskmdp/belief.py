@@ -124,7 +124,7 @@ def belief_fingerprint(t: int, state: str, weights: np.ndarray) -> str:
 
 @dataclass(frozen=True, eq=False)
 class BeliefNode:
-    """One reachable (time, state, belief) triple."""
+    """One reachable (time, state, belief) triple, built from the graph's arrays on request."""
 
     id: str
     t: int
@@ -138,10 +138,9 @@ class GraphLevel:
     """The nodes at one time step, as arrays over the level's rows.
 
     Row r is the node with ordinal ordinals[r], state index states[r] and
-    belief weights[r]; the node's Belief shares that read-only row.
-    children[r, k, l] is the ordinal of the child reached by action k and
-    next state l, or -1 where that move is inadmissible, has zero predictive
-    probability, or t is the horizon.
+    belief weights[r]. children[r, k, l] is the ordinal of the child reached
+    by action k and next state l, or -1 where that move is inadmissible, has
+    zero predictive probability, or t is the horizon.
     """
 
     t: int
@@ -155,21 +154,37 @@ class GraphLevel:
 class BeliefGraph:
     """Acyclic leveled graph of reachable beliefs.
 
-    Nodes are stored in insertion (breadth-first) order, so each level's
+    Nodes are numbered in insertion (breadth-first) order, so each level's
     nodes hold a contiguous run of ordinals. levels[t - 1] holds the nodes
-    at time t as arrays, and its children array is the graph's only edge
-    store.
+    at time t as arrays, and is the graph's only node and edge store;
+    ids[o] is the id of the node with ordinal o. nodes, root, child() and
+    edges are views built from the arrays on each access.
     """
 
     model: ModelSpec
-    nodes: tuple[BeliefNode, ...]
-    root: BeliefNode
+    ids: tuple[str, ...]
     levels: tuple[GraphLevel, ...]
+
+    def _node(self, t: int, o: int) -> BeliefNode:
+        """The node with ordinal o, which is at time t."""
+        m, level = self.model, self.levels[t - 1]
+        r = o - int(level.ordinals[0])
+        return BeliefNode(id=self.ids[o], t=t, state=m.states[level.states[r]],
+                          belief=Belief._normalized(m.parameters, level.weights[r]), ordinal=o)
+
+    @property
+    def nodes(self) -> tuple[BeliefNode, ...]:
+        """Every node, in ordinal order."""
+        return tuple(self._node(level.t, o) for level in self.levels for o in level.ordinals.tolist())
+
+    @property
+    def root(self) -> BeliefNode:
+        return self._node(1, 0)
 
     @property
     def edges(self) -> dict[tuple[int, str, str], int]:
-        """(node ordinal, action, next state) -> child ordinal, derived from the
-        levels on each access, in build order: by level, row, action, next state."""
+        """(node ordinal, action, next state) -> child ordinal, in build order:
+        by level, row, action, next state."""
         m, out = self.model, {}
         for level in self.levels:
             r, k, l = np.nonzero(level.children >= 0)
@@ -178,17 +193,12 @@ class BeliefGraph:
             out.update(zip(labels, level.children[r, k, l].tolist()))
         return out
 
-    def nodes_at(self, t: int) -> list[BeliefNode]:
-        if not 1 <= t <= len(self.levels):
-            return []
-        return [self.nodes[o] for o in self.levels[t - 1].ordinals.tolist()]
-
     def child(self, node: BeliefNode, u: str, x_next: str) -> BeliefNode | None:
         """The node that action u and next state x_next lead to from node, or None."""
         k, l = self.model.action_index(u), self.model.state_index(x_next)
         level = self.levels[node.t - 1]
         idx = int(level.children[node.ordinal - level.ordinals[0], k, l])
-        return None if idx < 0 else self.nodes[idx]
+        return None if idx < 0 else self._node(node.t + 1, idx)
 
 
 def build_reachable_belief_graph(m: ModelSpec, node_cap: int = DEFAULT_NODE_CAP) -> BeliefGraph:
@@ -208,15 +218,12 @@ def build_reachable_belief_graph(m: ModelSpec, node_cap: int = DEFAULT_NODE_CAP)
     if m.prior.params != m.parameters:
         raise DomainError("belief is not over this model's parameters")
 
-    root = BeliefNode(id=belief_fingerprint(1, m.initial_state, m.prior.weights), t=1,
-                      state=m.initial_state, belief=m.prior, ordinal=0)
-    nodes = [root]
+    ids = [belief_fingerprint(1, m.initial_state, m.prior.weights)]
     levels: list[GraphLevel] = []
     xs = np.array([m.state_index(m.initial_state)])
     weights = m.prior.weights[None, :]
     for t in range(1, m.horizon + 1):
-        first = len(nodes) - len(xs)
-        ordinals = np.arange(first, len(nodes))
+        ordinals = np.arange(len(ids) - len(xs), len(ids))
         children = np.full((len(xs), len(m.actions), len(m.states)), -1)
         levels.append(GraphLevel(t, ordinals, xs, weights, children))
         if t == m.horizon:
@@ -231,12 +238,11 @@ def build_reachable_belief_graph(m: ModelSpec, node_cap: int = DEFAULT_NODE_CAP)
             raise DomainError("belief weights must be finite and nonnegative")
         post = _normalize_rows(rows)
         src, act, nxt = np.nonzero(live)
-        nxt_list = nxt.tolist()
         # Key -> index of the new node, in order of first occurrence.
         index: dict[str, int] = {}
         local = [index.setdefault(key, len(index))
-                 for key in _fingerprints(t + 1, (m.states[y] for y in nxt_list), post)]
-        base = len(nodes)
+                 for key in _fingerprints(t + 1, (m.states[y] for y in nxt.tolist()), post)]
+        base = len(ids)
         if base + len(index) > node_cap:
             raise CapExceeded(f"belief graph would exceed node cap {node_cap}")
         _, firsts = np.unique(local, return_index=True)
@@ -245,24 +251,27 @@ def build_reachable_belief_graph(m: ModelSpec, node_cap: int = DEFAULT_NODE_CAP)
         xs = nxt[firsts]
         weights = post[firsts]
         weights.setflags(write=False)
-        for r, (key, e) in enumerate(zip(index, firsts.tolist())):
-            nodes.append(BeliefNode(id=key, t=t + 1, state=m.states[nxt_list[e]],
-                                    belief=Belief._normalized(m.parameters, weights[r]),
-                                    ordinal=base + r))
+        ids.extend(index)
 
-    return BeliefGraph(model=m, nodes=tuple(nodes), root=root, levels=tuple(levels))
+    return BeliefGraph(model=m, ids=tuple(ids), levels=tuple(levels))
+
+
+def _node_docs(graph: BeliefGraph) -> list[dict]:
+    """One JSON object per node, in ordinal order: its id, time, state and belief."""
+    m, ids = graph.model, graph.ids
+    return [{"id": ids[o], "t": level.t, "state": m.states[x], "belief": dict(zip(m.parameters, w))}
+            for level in graph.levels
+            for o, x, w in zip(level.ordinals.tolist(), level.states.tolist(), level.weights.tolist())]
 
 
 def graph_to_json(graph: BeliefGraph) -> dict:
     """Serializable view of the graph, nodes in insertion order."""
+    ids = graph.ids
     return {
-        "root": graph.root.id,
-        "nodes": [
-            {"id": n.id, "t": n.t, "state": n.state, "belief": n.belief.as_dict()}
-            for n in graph.nodes
-        ],
+        "root": ids[0],
+        "nodes": _node_docs(graph),
         "edges": [
-            {"from": graph.nodes[src].id, "action": u, "next_state": y, "to": graph.nodes[dst].id}
+            {"from": ids[src], "action": u, "next_state": y, "to": ids[dst]}
             for (src, u, y), dst in sorted(graph.edges.items())
         ],
     }

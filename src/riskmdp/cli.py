@@ -33,7 +33,7 @@ from .errors import (
     ValidationError,
     ZeroProbabilityObservation,
 )
-from .model import parse_model, validate_model
+from .model import _json_doc, parse_model, validate_model
 from .sim import simulate_runs, summarize, summary_to_json, trajectories_to_csv
 
 
@@ -122,20 +122,13 @@ def _load_criterion(values: list[str] | None):
     return parse_criterion(raw)
 
 
-def _load_policy_doc(path: str) -> dict:
+def _load_policy(m, path: str, node_cap: int) -> HistoryPolicy | QuasiMarkovPolicy:
+    """Read a policy file; a quasi_markov policy is resolved over the model's belief graph."""
     try:
         text = Path(path).read_text()
     except OSError as e:
         raise _UsageError(f"cannot read policy file {path}: {e}") from None
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError as e:
-        raise SchemaError(f"policy is not valid JSON: {e}") from None
-
-
-def _load_policy(m, path: str, node_cap: int) -> HistoryPolicy | QuasiMarkovPolicy:
-    """Read a policy file; a quasi_markov policy is resolved over the model's belief graph."""
-    doc = _load_policy_doc(path)
+    doc = _json_doc(text, "policy is not valid JSON")
     graph = None
     if isinstance(doc, dict) and doc.get("type") == "quasi_markov":
         graph = build_reachable_belief_graph(m, node_cap=node_cap)
@@ -190,7 +183,7 @@ def _dispatch(args) -> int:
         m = _load_model(args.model)
         crit = _load_criterion(args.criterion)
         graph = build_reachable_belief_graph(m, node_cap=args.node_cap)
-        _stage(f"solve: belief graph has {len(graph.nodes)} nodes")
+        _stage(f"solve: belief graph has {len(graph.ids)} nodes")
         table, qmp = solve_dp(m, crit, graph)
         _emit(json.dumps(value_table_to_json(table, qmp), indent=2), args.out)
         if args.policy:
@@ -236,7 +229,7 @@ def _dispatch(args) -> int:
         m = _load_model(args.model)
         graph = build_reachable_belief_graph(m, node_cap=args.node_cap)
         doc = graph_to_json(graph)
-        _stage(f"beliefs: {len(graph.nodes)} nodes, {len(doc['edges'])} edges")
+        _stage(f"beliefs: {len(graph.ids)} nodes, {len(doc['edges'])} edges")
         _emit(json.dumps(doc, indent=2), args.out)
         return 0
 

@@ -15,14 +15,15 @@ four properties with randomized inputs.
 
 from __future__ import annotations
 
-import json
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .errors import DomainError, SchemaError
+from .model import _json_doc, _number
 
 AXIOM_TOL = 1e-9
 DEFAULT_AXIOM_SAMPLES = 1000
@@ -170,7 +171,8 @@ def make_expectation() -> CriterionSpec:
 
 def make_entropic(kappa: float) -> CriterionSpec:
     """Entropic criterion at risk aversion kappa > 0, in certainty-equivalent scale."""
-    if not (isinstance(kappa, (int, float)) and math.isfinite(kappa) and kappa > 0):
+    # The comparison is exact, so it also rejects an int beyond float range.
+    if isinstance(kappa, bool) or not (isinstance(kappa, (int, float)) and 0 < kappa <= sys.float_info.max):
         raise DomainError(f"entropic criterion requires kappa > 0, got {kappa!r}")
     ce = _CertaintyEquivalent(float(kappa))
     return CriterionSpec(
@@ -296,13 +298,7 @@ def parse_criterion(source: str | dict) -> CriterionSpec:
     Accepts {"type": "expectation"} or {"type": "entropic", "kappa": k}.
     Custom criteria are library-only and not reachable from JSON.
     """
-    if isinstance(source, str):
-        try:
-            doc = json.loads(source)
-        except json.JSONDecodeError as e:
-            raise SchemaError(f"criterion is not valid JSON: {e}") from None
-    else:
-        doc = source
+    doc = _json_doc(source, "criterion is not valid JSON")
     if not isinstance(doc, dict) or "type" not in doc:
         raise SchemaError("criterion must be an object with a 'type' field")
     kind = doc["type"]
@@ -317,5 +313,5 @@ def parse_criterion(source: str | dict) -> CriterionSpec:
             raise SchemaError(f"unexpected criterion fields: {sorted(extra)}")
         if "kappa" not in doc:
             raise SchemaError("entropic criterion requires a 'kappa' field")
-        return make_entropic(doc["kappa"])
+        return make_entropic(_number(doc["kappa"], "criterion 'kappa'"))
     raise SchemaError(f"unknown criterion type {kind!r}")

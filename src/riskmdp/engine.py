@@ -18,16 +18,15 @@ Three evaluators compute a policy's value at a history:
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 import numpy as np
 
-from .belief import BeliefGraph, BeliefNode, posterior_from_history, predictive_next_state
+from .belief import BeliefGraph, _node_docs, posterior_from_history, predictive_next_state
 from .criterion import CriterionSpec
 from .errors import CapExceeded, DomainError, SchemaError
-from .model import ModelSpec
+from .model import ModelSpec, _json_doc
 
 DEFAULT_PATH_CAP = 10_000_000
 DEFAULT_POLICY_CAP = 1_000_000
@@ -47,23 +46,24 @@ class HistoryPolicy:
             raise DomainError(f"policy has no decision for history {key}") from None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QuasiMarkovPolicy:
     """Policy that depends on the history only through (time, state, belief)."""
 
-    table: dict[str, str]  # belief node id -> action label
+    actions: np.ndarray  # (n_nodes,) int: action index per node ordinal, -1 = no decision
     graph: BeliefGraph
 
-    def action(self, node: BeliefNode) -> str:
-        try:
-            return self.table[node.id]
-        except KeyError:
-            raise DomainError(f"policy has no decision for belief node {node.id!r}") from None
+    def action(self, ordinal: int) -> str:
+        """The action label at the node with this ordinal."""
+        k = int(self.actions[ordinal])
+        if k < 0:
+            raise DomainError(f"policy has no decision for belief node {self.graph.ids[ordinal]!r}")
+        return self.graph.model.actions[k]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ValueTable:
-    values: dict[str, float]  # belief node id -> value
+    values: np.ndarray  # (n_nodes,) float: value per node ordinal
     criterion: CriterionSpec
     root_value: float
 
@@ -131,8 +131,8 @@ def solve_dp(m: ModelSpec, crit: CriterionSpec, graph: BeliefGraph) -> tuple[Val
     called once per row, sigma rows of a level first, then rho_hat rows.
     """
     # The extra last slot is the zero value gathered for a missing child (-1).
-    values = np.zeros(len(graph.nodes) + 1)
-    argmin: dict[str, str] = {}
+    values = np.zeros(len(graph.ids) + 1)
+    actions = np.full(len(graph.ids), -1)
 
     for level in reversed(graph.levels):
         t = level.t
@@ -157,47 +157,41 @@ def solve_dp(m: ModelSpec, crit: CriterionSpec, graph: BeliefGraph) -> tuple[Val
         # so a row of +inf or NaN values keeps an admissible action.
         best = np.where(q[rows, best] < q[rows, first], best, first)
         values[level.ordinals] = q[rows, best]
-        argmin.update(zip([graph.nodes[o].id for o in level.ordinals.tolist()],
-                          [m.actions[b] for b in best.tolist()]))
+        actions[level.ordinals] = best
 
-    table = ValueTable(
-        values={n.id: float(values[n.ordinal]) for n in graph.nodes},
-        criterion=crit,
-        root_value=crit.report(float(values[graph.root.ordinal])),
-    )
-    return table, QuasiMarkovPolicy(table=argmin, graph=graph)
+    table = ValueTable(values=values[:-1], criterion=crit, root_value=crit.report(float(values[0])))
+    return table, QuasiMarkovPolicy(actions=actions, graph=graph)
 
 
 def to_history_policy(pol: QuasiMarkovPolicy, m: ModelSpec) -> HistoryPolicy:
     """Unfold a belief-graph policy into explicit per-history decisions.
 
-    Beliefs are tracked along the graph's own edges, so they match the
-    solver's updates bit for bit. Histories that leave the graph (they have
-    zero probability under every parameter in the prior's support) get the
-    first admissible action.
+    Beliefs are tracked along the graph's own edges, by node ordinal, so
+    they match the solver's updates bit for bit. Histories that leave the
+    graph (they have zero probability under every parameter in the prior's
+    support) get the first admissible action.
     """
     decisions: dict[tuple[str, ...], str] = {}
 
-    def first_admissible(t: int, x: str) -> str:
-        acts = m.admissible_actions(t, x)
-        if not acts:
-            raise DomainError(f"no admissible action at (t={t}, {x})")
-        return acts[0]
-
-    def walk(hist: tuple[str, ...], node: BeliefNode | None) -> None:
+    def walk(hist: tuple[str, ...], o: int) -> None:
         t = len(hist)
-        x = hist[-1]
-        if node is not None:
-            u = pol.action(node)
+        if o >= 0:
+            u = pol.action(o)
         else:
-            u = first_admissible(t, x)
+            acts = m.admissible_actions(t, hist[-1])
+            if not acts:
+                raise DomainError(f"no admissible action at (t={t}, {hist[-1]})")
+            u = acts[0]
         decisions[hist] = u
         if t < m.horizon:
-            for y in m.states:
-                child = pol.graph.child(node, u, y) if node is not None else None
+            row = [-1] * len(m.states)
+            if o >= 0:
+                level = pol.graph.levels[t - 1]
+                row = level.children[o - level.ordinals[0], m.action_index(u)].tolist()
+            for y, child in zip(m.states, row):
                 walk(hist + (y,), child)
 
-    walk((m.initial_state,), pol.graph.root)
+    walk((m.initial_state,), 0)
     return HistoryPolicy(decisions=decisions)
 
 
@@ -387,27 +381,18 @@ def brute_force_optimum(
 
 
 def value_table_to_json(table: ValueTable, pol: QuasiMarkovPolicy) -> dict:
-    graph = pol.graph
-    return {
-        "root_value": table.root_value,
-        "criterion": table.criterion.describe(),
-        "nodes": [
-            {
-                "id": n.id,
-                "t": n.t,
-                "state": n.state,
-                "belief": n.belief.as_dict(),
-                "value": table.values[n.id],
-                "argmin_action": pol.table[n.id],
-            }
-            for n in graph.nodes
-        ],
-    }
+    nodes = _node_docs(pol.graph)
+    for o, (doc, value) in enumerate(zip(nodes, table.values.tolist())):
+        doc["value"] = value
+        doc["argmin_action"] = pol.action(o)
+    return {"root_value": table.root_value, "criterion": table.criterion.describe(), "nodes": nodes}
 
 
 def policy_to_json(pol: HistoryPolicy | QuasiMarkovPolicy) -> dict:
     if isinstance(pol, QuasiMarkovPolicy):
-        return {"type": "quasi_markov", "table": dict(sorted(pol.table.items()))}
+        ids, labels = pol.graph.ids, pol.graph.model.actions
+        table = sorted((ids[o], labels[k]) for o, k in enumerate(pol.actions.tolist()) if k >= 0)
+        return {"type": "quasi_markov", "table": dict(table)}
     decisions = [
         {"t": len(h), "history": list(h), "action": u}
         for h, u in sorted(pol.decisions.items(), key=lambda kv: (len(kv[0]), kv[0]))
@@ -417,13 +402,7 @@ def policy_to_json(pol: HistoryPolicy | QuasiMarkovPolicy) -> dict:
 
 def parse_policy(source: str | dict, m: ModelSpec, graph: BeliefGraph | None = None):
     """Read a policy JSON document into a HistoryPolicy or QuasiMarkovPolicy."""
-    if isinstance(source, str):
-        try:
-            doc = json.loads(source)
-        except json.JSONDecodeError as e:
-            raise SchemaError(f"policy is not valid JSON: {e}") from None
-    else:
-        doc = source
+    doc = _json_doc(source, "policy is not valid JSON")
     if not isinstance(doc, dict) or "type" not in doc:
         raise SchemaError("policy must be an object with a 'type' field")
     kind = doc["type"]
@@ -434,23 +413,30 @@ def parse_policy(source: str | dict, m: ModelSpec, graph: BeliefGraph | None = N
         for row in doc["decisions"]:
             if not isinstance(row, dict) or not {"t", "history", "action"} <= set(row):
                 raise SchemaError("each decision needs 't', 'history', and 'action'")
-            hist = tuple(row["history"])
-            if len(hist) != row["t"]:
-                raise SchemaError(f"decision at t={row['t']} has a history of length {len(hist)}")
+            t, hist, u = row["t"], row["history"], row["action"]
+            if not isinstance(hist, list) or not all(isinstance(x, str) for x in hist):
+                raise SchemaError("decision 'history' must be a list of state labels")
+            if type(t) is not int or len(hist) != t:
+                raise SchemaError(f"decision at t={t!r} has a history of length {len(hist)}")
+            if not isinstance(u, str):
+                raise SchemaError(f"decision 'action' must be an action label, got {u!r}")
             for x in hist:
                 m.state_index(x)
-            m.action_index(row["action"])
-            decisions[hist] = row["action"]
+            m.action_index(u)
+            decisions[tuple(hist)] = u
         return HistoryPolicy(decisions=decisions)
     if kind == "quasi_markov":
         if graph is None:
             raise DomainError("resolving a quasi_markov policy requires the belief graph")
         if "table" not in doc or not isinstance(doc["table"], dict):
             raise SchemaError("quasi_markov policy requires a 'table' object")
-        ids = {n.id for n in graph.nodes}
+        ordinal = {node_id: o for o, node_id in enumerate(graph.ids)}
+        actions = np.full(len(graph.ids), -1)
         for node_id, u in doc["table"].items():
-            if node_id not in ids:
+            if not isinstance(u, str):
+                raise SchemaError(f"quasi_markov table entry {node_id!r} must be an action label, got {u!r}")
+            if node_id not in ordinal:
                 raise DomainError(f"policy names unknown belief node {node_id!r}")
-            m.action_index(u)
-        return QuasiMarkovPolicy(table=dict(doc["table"]), graph=graph)
+            actions[ordinal[node_id]] = m.action_index(u)
+        return QuasiMarkovPolicy(actions=actions, graph=graph)
     raise SchemaError(f"unknown policy type {kind!r}")

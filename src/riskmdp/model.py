@@ -390,6 +390,17 @@ def _number(v, path: str) -> float:
     raise SchemaError(f"{path} must be a number")
 
 
+def _json_doc(source, error: str):
+    """source decoded as JSON if it is a string, else source itself; bad JSON
+    is a SchemaError that starts with `error`."""
+    if not isinstance(source, str):
+        return source
+    try:
+        return json.loads(source)
+    except json.JSONDecodeError as e:
+        raise SchemaError(f"{error}: {e}") from None
+
+
 def parse_model(text: str) -> ModelSpec:
     """Parse a model JSON document.
 

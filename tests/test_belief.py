@@ -268,12 +268,12 @@ class TestGraph:
         assert abs(a0_s1.belief.mass("th1") - 0.75) < 1e-12
         assert a1_s0.belief == sample_model.prior
         assert a1_s1.belief == sample_model.prior
-        assert len(g.nodes_at(2)) == 4
+        assert sum(n.t == 2 for n in g.nodes) == 4
         assert len({a0_s0.ordinal, a0_s1.ordinal, a1_s0.ordinal, a1_s1.ordinal}) == 4
 
     def test_leaves_have_no_children(self, sample_model):
         g = build_reachable_belief_graph(sample_model)
-        for n in g.nodes_at(2):
+        for n in g.nodes[1:]:  # the four nodes at t=2
             for u in sample_model.actions:
                 for y in sample_model.states:
                     assert g.child(n, u, y) is None

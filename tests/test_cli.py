@@ -258,6 +258,13 @@ class TestMissingQuasiMarkovDecision:
         assert "policy has no decision for belief node" in capsys.readouterr().err
 
 
+def test_evaluate_rejects_a_history_that_is_not_a_list(tmp_path, capsys):
+    doc = {"type": "history", "decisions": [{"t": 1, "history": 5, "action": "a0"}]}
+    assert run_cli(["evaluate", "--model", MODEL, "--criterion", ENTROPIC,
+                    "--policy", write_json(tmp_path / "pol.json", doc)]) == 1
+    assert "invalid input: decision 'history' must be a list of state labels" in capsys.readouterr().err
+
+
 class TestAxiomsAndBeliefs:
     def test_check_axioms_passes_for_builtins(self, capsys):
         for crit in (EXPECTATION, '{"type": "entropic", "kappa": 0.5}'):
@@ -266,6 +273,12 @@ class TestAxiomsAndBeliefs:
             report = json.loads(capsys.readouterr().out)
             assert report["passed"] is True
             assert report["violations"] == []
+
+    @pytest.mark.parametrize("kappa", ["true", "1" + "0" * 400], ids=["bool", "huge-int"])
+    def test_check_axioms_kappa_not_a_number(self, kappa, capsys):
+        crit = '{"type": "entropic", "kappa": %s}' % kappa
+        assert run_cli(["check-axioms", "--criterion", crit, "--samples", "10"]) == 1
+        assert "invalid input: criterion 'kappa' must be a number" in capsys.readouterr().err
 
     def test_check_axioms_bad_samples(self, capsys):
         assert run_cli(["check-axioms", "--criterion", EXPECTATION,

@@ -108,7 +108,9 @@ class TestEntropic:
         assert make_entropic(0.5).describe() == {"type": "entropic", "kappa": 0.5}
 
     def test_invalid_kappa(self):
-        for bad in (0.0, -1.0, math.nan, math.inf, "1"):
+        # A bool is not a number, and an int beyond float range is a
+        # DomainError rather than math.isfinite's OverflowError.
+        for bad in (0.0, -1.0, math.nan, math.inf, "1", True, 2**1100):
             with pytest.raises(DomainError, match="kappa > 0"):
                 make_entropic(bad)
 
@@ -334,7 +336,7 @@ class TestCustom:
         g = build_reachable_belief_graph(sample_model)
         custom, _ = solve_dp(sample_model, spec, g)
         expected, _ = solve_dp(sample_model, make_expectation(), g)
-        assert custom.values == expected.values
+        assert np.array_equal(custom.values, expected.values)
         assert custom.root_value == expected.root_value
 
     def test_invalid_custom_rejected_with_axiom_name(self):
@@ -376,6 +378,12 @@ class TestParseCriterion:
     def test_nonpositive_kappa(self):
         with pytest.raises(DomainError, match="kappa > 0"):
             parse_criterion('{"type": "entropic", "kappa": -1.0}')
+
+    @pytest.mark.parametrize("kappa", ["true", "1" + "0" * 400, '"1"'], ids=["bool", "huge-int", "string"])
+    def test_kappa_must_be_a_number(self, kappa):
+        # kappa is read like every number of a model document.
+        with pytest.raises(SchemaError, match="kappa' must be a number"):
+            parse_criterion('{"type": "entropic", "kappa": %s}' % kappa)
 
     def test_not_an_object(self):
         with pytest.raises(SchemaError):

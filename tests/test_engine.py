@@ -102,11 +102,11 @@ class TestSampleModelValues:
         a0_s0 = g.child(g.root, "a0", "s0")
         a0_s1 = g.child(g.root, "a0", "s1")
         a1_s0 = g.child(g.root, "a1", "s0")
-        assert abs(table.values[a0_s0.id] - 0.25) < 1e-12
-        assert abs(table.values[a0_s1.id] - 0.5) < 1e-12
-        assert abs(table.values[a1_s0.id] - 1.0) < 1e-12
-        assert pol.table[a0_s0.id] == "a0"
-        assert pol.table[a1_s0.id] == "a0"  # exact tie, first declared action
+        assert abs(table.values[a0_s0.ordinal] - 0.25) < 1e-12
+        assert abs(table.values[a0_s1.ordinal] - 0.5) < 1e-12
+        assert abs(table.values[a1_s0.ordinal] - 1.0) < 1e-12
+        assert pol.action(a0_s0.ordinal) == "a0"
+        assert pol.action(a1_s0.ordinal) == "a0"  # exact tie, first declared action
 
     def test_expectation_root_value(self, sample_model):
         #   root a0: 0.5*(1 + 0.1*0.25 + 0.9*0.5) + 0.5*(0 + 0.7*0.25 + 0.3*0.5)
@@ -115,7 +115,7 @@ class TestSampleModelValues:
         g = build_reachable_belief_graph(sample_model)
         table, pol = solve_dp(sample_model, make_expectation(), g)
         assert abs(table.root_value - 0.9) < 1e-12
-        assert pol.table[g.root.id] == "a0"
+        assert pol.action(g.root.ordinal) == "a0"
 
     def test_entropic_node_values(self, sample_model):
         g = build_reachable_belief_graph(sample_model)
@@ -126,12 +126,12 @@ class TestSampleModelValues:
         a0_s1 = g.child(g.root, "a0", "s1")
         a1_s0 = g.child(g.root, "a1", "s0")
         a1_s1 = g.child(g.root, "a1", "s1")
-        assert abs(table.values[a0_s0.id] - v1) < 1e-12
-        assert abs(table.values[a0_s1.id] - v2) < 1e-12
+        assert abs(table.values[a0_s0.ordinal] - v1) < 1e-12
+        assert abs(table.values[a0_s1.ordinal] - v2) < 1e-12
         # at (1/2, 1/2) the spread makes a0 cost log(0.5 e^2 + 0.5) > 1, so a1 wins
-        assert table.values[a1_s0.id] == 1.0
-        assert pol.table[a1_s0.id] == "a1"
-        assert pol.table[a1_s1.id] == "a1"
+        assert table.values[a1_s0.ordinal] == 1.0
+        assert pol.action(a1_s0.ordinal) == "a1"
+        assert pol.action(a1_s1.ordinal) == "a1"
 
     def test_entropic_root_value(self, sample_model):
         g = build_reachable_belief_graph(sample_model)
@@ -143,21 +143,21 @@ class TestSampleModelValues:
         root_a0 = math.log(0.5 * math.exp(f1) + 0.5 * math.exp(f2))
         assert root_a0 < 1.5  # a1 root alternative costs exactly 1.5
         assert abs(table.root_value - root_a0) < 1e-12
-        assert pol.table[g.root.id] == "a0"
+        assert pol.action(g.root.ordinal) == "a0"
 
     def test_solver_is_deterministic(self, sample_model):
         g = build_reachable_belief_graph(sample_model)
         crit = make_entropic(1.0)
         t1, p1 = solve_dp(sample_model, crit, g)
         t2, p2 = solve_dp(sample_model, crit, g)
-        assert t1.values == t2.values
+        assert t1.values.tobytes() == t2.values.tobytes()
         assert t1.root_value == t2.root_value
-        assert p1.table == p2.table
+        assert p1.actions.tobytes() == p2.actions.tobytes()
 
     def test_policy_table_covers_every_node(self, sample_model):
         g = build_reachable_belief_graph(sample_model)
         _, pol = solve_dp(sample_model, make_expectation(), g)
-        assert set(pol.table) == {n.id for n in g.nodes}
+        assert pol.actions.shape == (len(g.ids),) and (pol.actions >= 0).all()
 
     def test_restricted_actions_respected(self, sample_model):
         adm = np.array(sample_model.admissible)
@@ -170,7 +170,7 @@ class TestSampleModelValues:
         )
         g = build_reachable_belief_graph(m)
         table, pol = solve_dp(m, make_expectation(), g)
-        assert pol.table[g.root.id] == "a1"
+        assert pol.action(g.root.ordinal) == "a1"
         assert abs(table.root_value - 1.5) < 1e-12
 
 
@@ -181,7 +181,7 @@ class TestMultiplicativeCrossCheck:
     def multiplicative_values(self, m, kappa, graph):
         W = {}
         for t in range(m.horizon, 0, -1):
-            for node in graph.nodes_at(t):
+            for node in (n for n in graph.nodes if n.t == t):
                 j = m.state_index(node.state)
                 w = node.belief.weights
                 supp = np.flatnonzero(w > 0.0)
@@ -209,7 +209,7 @@ class TestMultiplicativeCrossCheck:
         table, _ = solve_dp(sample_model, make_entropic(kappa), g)
         W = self.multiplicative_values(sample_model, kappa, g)
         for node in g.nodes:
-            assert rel_close(math.exp(kappa * table.values[node.id]), W[node.id], 1e-9)
+            assert rel_close(math.exp(kappa * table.values[node.ordinal]), W[node.id], 1e-9)
 
     def test_random_instances(self):
         for seed in range(8):
@@ -219,7 +219,7 @@ class TestMultiplicativeCrossCheck:
             table, _ = solve_dp(m, make_entropic(kappa), g)
             W = self.multiplicative_values(m, kappa, g)
             for node in g.nodes:
-                assert rel_close(math.exp(kappa * table.values[node.id]), W[node.id], 1e-9)
+                assert rel_close(math.exp(kappa * table.values[node.ordinal]), W[node.id], 1e-9)
 
 
 class TestEvaluators:
@@ -429,11 +429,8 @@ class TestLevelBatchedSweep:
         for crit in SWEEP_CRITERIA:
             table, qmp = solve_dp(m, crit, g)
             ref_table, ref_qmp = solve_dp(m, per_row(crit), g)
-            got = np.array([table.values[n.id] for n in g.nodes])
-            want = np.array([ref_table.values[n.id] for n in g.nodes])
-            assert got.tobytes() == want.tobytes()
-            assert qmp.table == ref_qmp.table
-            assert list(qmp.table) == list(ref_qmp.table)
+            assert table.values.tobytes() == ref_table.values.tobytes()
+            assert qmp.actions.tobytes() == ref_qmp.actions.tobytes()
 
     @pytest.mark.parametrize("make", [
         lambda sm: sm,
@@ -477,7 +474,7 @@ class TestLevelBatchedSweep:
             admissible=np.array(admissible).reshape(1, 1, 3))
         g = build_reachable_belief_graph(m)
         table, qmp = solve_dp(m, crit, g)
-        assert qmp.table[g.root.id] == action
+        assert qmp.action(g.root.ordinal) == action
         k = m.action_index(action)
         assert np.array_equal(table.root_value, costs[k], equal_nan=True)
 
@@ -494,7 +491,7 @@ class TestLevelBatchedSweep:
             "empty admissible action set at (t=3, s2)",
         ]
         g = build_reachable_belief_graph(m)
-        assert [n.state for n in g.nodes_at(3)] == ["s2", "s1"]
+        assert [n.state for n in g.nodes if n.t == 3] == ["s2", "s1"]
         with pytest.raises(DomainError, match=r"^no admissible action at \(t=3, s2\)$"):
             solve_dp(m, crit, g)
 
@@ -503,7 +500,8 @@ class TestLevelBatchedSweep:
         g = build_reachable_belief_graph(m)
         table, qmp = solve_dp(m, make_expectation(), g)
         ref_table, ref_qmp = solve_dp(m, per_row(make_expectation()), g)
-        assert table.values == ref_table.values and qmp.table == ref_qmp.table
+        assert table.values.tobytes() == ref_table.values.tobytes()
+        assert qmp.actions.tobytes() == ref_qmp.actions.tobytes()
         # The empty row adds nothing: 0.5 * (1 + 1) + 0.5 * (1 + 0).
         assert table.root_value == 1.5
         for crit in (make_entropic(1.0), per_row(make_entropic(1.0))):
@@ -609,9 +607,9 @@ class TestHistoryUnfolding:
         g = build_reachable_belief_graph(sample_model)
         _, qmp = solve_dp(sample_model, make_entropic(1.0), g)
         hp = to_history_policy(qmp, sample_model)
-        assert hp.action(("s0",)) == qmp.table[g.root.id]
+        assert hp.action(("s0",)) == qmp.action(g.root.ordinal)
         a0_s0 = g.child(g.root, "a0", "s0")
-        assert hp.action(("s0", "s0")) == qmp.table[a0_s0.id]
+        assert hp.action(("s0", "s0")) == qmp.action(a0_s0.ordinal)
         assert set(hp.decisions) == {("s0",), ("s0", "s0"), ("s0", "s1")}
 
     def test_off_graph_histories_get_first_admissible(self, sample_model):
@@ -624,7 +622,7 @@ class TestHistoryUnfolding:
             initial_state="s0", admissible=sample_model.admissible,
         )
         g = build_reachable_belief_graph(m)
-        qmp = QuasiMarkovPolicy(table={n.id: "a1" for n in g.nodes}, graph=g)
+        qmp = QuasiMarkovPolicy(actions=np.full(len(g.ids), m.action_index("a1")), graph=g)
         hp = to_history_policy(qmp, m)
         assert hp.action(("s0",)) == "a1"
         assert hp.action(("s0", "s0")) == "a1"   # on the graph
@@ -647,9 +645,9 @@ class TestInterchange:
         assert doc["root_value"] == table.root_value
         assert doc["criterion"] == {"type": "entropic", "kappa": 2.0}
         assert len(doc["nodes"]) == 5
-        for row in doc["nodes"]:
+        for o, row in enumerate(doc["nodes"]):
             assert set(row) == {"id", "t", "state", "belief", "value", "argmin_action"}
-            assert row["value"] == table.values[row["id"]]
+            assert row["id"] == g.ids[o] and row["value"] == table.values[o]
         json.dumps(doc)  # serializable
 
     def test_history_policy_round_trip(self, sample_model):
@@ -665,7 +663,26 @@ class TestInterchange:
         doc = policy_to_json(qmp)
         again = parse_policy(doc, sample_model, g)
         assert isinstance(again, QuasiMarkovPolicy)
-        assert again.table == qmp.table
+        assert again.actions.tobytes() == qmp.actions.tobytes()
+
+    @pytest.mark.parametrize("decision, table_value", [
+        ({"t": 1, "history": 5, "action": "a0"}, None),
+        ({"t": 1, "history": [5], "action": "a0"}, None),
+        ({"t": True, "history": ["s0"], "action": "a0"}, None),
+        ({"t": 1.0, "history": ["s0"], "action": "a0"}, None),
+        ({"t": 1, "history": ["s0"], "action": ["a0"]}, None),
+        (None, 0),
+        (None, ["a0"]),
+    ], ids=["history-int", "history-of-ints", "t-bool", "t-float", "action-list",
+            "table-int", "table-list"])
+    def test_parse_policy_shape_errors(self, decision, table_value, sample_model):
+        g = build_reachable_belief_graph(sample_model)
+        if decision is not None:
+            doc = {"type": "history", "decisions": [decision]}
+        else:
+            doc = {"type": "quasi_markov", "table": {g.ids[0]: table_value}}
+        with pytest.raises(SchemaError):
+            parse_policy(doc, sample_model, g)
 
     def test_parse_policy_errors(self, sample_model):
         g = build_reachable_belief_graph(sample_model)

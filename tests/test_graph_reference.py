@@ -6,7 +6,6 @@ by an f-string fingerprint. The two must agree bit for bit.
 """
 
 import json
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -68,24 +67,32 @@ def reference_graph(m):
     return nodes, edges
 
 
+def reference_json(nodes, edges):
+    """The graph JSON as written from per-node objects."""
+    return {
+        "root": nodes[0].id,
+        "nodes": [{"id": n.id, "t": n.t, "state": n.state, "belief": n.belief.as_dict()} for n in nodes],
+        "edges": [{"from": nodes[src].id, "action": u, "next_state": y, "to": nodes[dst].id}
+                  for (src, u, y), dst in sorted(edges.items())],
+    }
+
+
 def assert_matches_reference(m):
     g = build_reachable_belief_graph(m)
     nodes, edges = reference_graph(m)
-    ref = SimpleNamespace(root=nodes[0], nodes=nodes, edges=edges)
-    assert json.dumps(graph_to_json(g)) == json.dumps(graph_to_json(ref))
+    assert json.dumps(graph_to_json(g)) == json.dumps(reference_json(nodes, edges))
+    assert g.ids == tuple(n.id for n in nodes)
     assert len(g.nodes) == len(nodes)
     for a, b in zip(g.nodes, nodes):
         assert (a.id, a.t, a.state, a.ordinal) == (b.id, b.t, b.state, b.ordinal)
         assert a.belief.weights.tobytes() == b.belief.weights.tobytes()
     assert g.edges == edges
     assert list(g.edges) == list(edges)
-    for t in range(0, m.horizon + 2):
-        assert [n.ordinal for n in g.nodes_at(t)] == [n.ordinal for n in nodes if n.t == t]
 
-    # The level arrays describe the same graph as the label-keyed edges.
+    # The level arrays hold the reference's nodes and edges.
     assert len(g.levels) == m.horizon
     for level in g.levels:
-        at_t = g.nodes_at(level.t)
+        at_t = [n for n in nodes if n.t == level.t]
         assert level.ordinals.tolist() == [n.ordinal for n in at_t]
         assert level.states.tolist() == [m.state_index(n.state) for n in at_t]
         assert level.weights.tobytes() == b"".join(n.belief.weights.tobytes() for n in at_t)
@@ -123,7 +130,7 @@ def test_negative_zero_kernel_entry():
 def test_tiny_mass_keeps_supports_apart():
     m = tiny_mass_model()
     assert_matches_reference(m)
-    ids = [n.id for n in build_reachable_belief_graph(m).nodes_at(3)]
+    ids = [n.id for n in build_reachable_belief_graph(m).nodes if n.t == 3]
     assert ids == ["t=3|x=s3|xi=1.0000000000,0.0000000000",
                    "t=3|x=s3|xi=1.0000000000,0.0000000000|supp=11"]
 
