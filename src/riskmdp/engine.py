@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -223,24 +223,64 @@ def eval_policy_recursive(
     return crit.report(_recursive_value(m, crit, pol, hist, _prefix_actions(pol, hist)))
 
 
+class _Memo:
+    """Work that one brute_force_optimum call scores once and shares between policies.
+
+    Keys hold everything the cached number depends on, so a hit returns the
+    bits a fresh computation would:
+    * posteriors: (history, actions) -> posterior belief;
+    * values: (history, actions, the policy's decisions at and under the
+      history) -> recursive value of that subtree, never for the root;
+    * terms: (path, actions along it) -> the path's static-form term.
+    """
+
+    def __init__(self, points: Iterable[tuple[str, ...]]):
+        # history -> the decision points at or under it, in enumeration order
+        self.below: dict[tuple[str, ...], list[tuple[str, ...]]] = {}
+        for p in points:
+            for s in range(1, len(p) + 1):
+                self.below.setdefault(p[:s], []).append(p)
+        self.posteriors: dict = {}
+        self.values: dict = {}
+        self.terms: dict = {}
+
+
+def _posterior(m: ModelSpec, hist: tuple[str, ...], acts: tuple[str, ...], memo: _Memo | None):
+    if memo is None:
+        return posterior_from_history(m, hist, acts)
+    xi = memo.posteriors.get((hist, acts))
+    if xi is None:
+        xi = memo.posteriors[hist, acts] = posterior_from_history(m, hist, acts)
+    return xi
+
+
 def _recursive_value(
     m: ModelSpec, crit: CriterionSpec, pol: HistoryPolicy,
-    hist: tuple[str, ...], acts: tuple[str, ...],
+    hist: tuple[str, ...], acts: tuple[str, ...], memo: _Memo | None = None,
 ) -> float:
+    key = None
+    if memo is not None and len(hist) > 1:
+        key = (hist, acts, tuple(map(pol.decisions.__getitem__, memo.below[hist])))
+        v = memo.values.get(key)
+        if v is not None:
+            return v
     t = len(hist)
     x = hist[-1]
     u, j, k = _policy_step(m, pol, hist)
-    xi = posterior_from_history(m, hist, acts)
+    xi = _posterior(m, hist, acts, memo)
     w = None
     if t < m.horizon:
         pred = predictive_next_state(m, xi, x, u)
         w = np.zeros(len(m.states))
         for l, y in enumerate(m.states):
             if pred[l] > 0.0:
-                w[l] = _recursive_value(m, crit, pol, hist + (y,), acts + (u,))
+                w[l] = _recursive_value(m, crit, pol, hist + (y,), acts + (u,), memo)
     f = _stage_plus_sigma(crit, m.cost[t - 1, j, k], m.kernel[:, j, k],
                           np.flatnonzero(xi.weights > 0.0), w)
-    return crit.rho_hat.evaluate(f, xi.weights)
+    v = crit.rho_hat.evaluate(f, xi.weights)
+    if key is not None:
+        memo.values[key] = v
+    return v
 
 
 def eval_policy_paths(
@@ -256,10 +296,16 @@ def eval_policy_paths(
     """
     if crit.kind not in ("expectation", "entropic"):
         raise DomainError("path oracle supports only the built-in criteria")
-    hist = _coerce_history(m, history)
+    return _paths_value(m, crit, pol, _coerce_history(m, history), path_cap)
+
+
+def _paths_value(
+    m: ModelSpec, crit: CriterionSpec, pol: HistoryPolicy,
+    hist: tuple[str, ...], path_cap: int, memo: _Memo | None = None,
+) -> float:
     t0 = len(hist)
     acts = _prefix_actions(pol, hist)
-    xi = posterior_from_history(m, hist, acts)
+    xi = _posterior(m, hist, acts, memo)
 
     n_cont = len(m.states) ** (m.horizon - t0)
     if n_cont > path_cap:
@@ -269,17 +315,23 @@ def eval_policy_paths(
     acc = np.zeros(n_params)
     for cont in itertools.product(m.states, repeat=m.horizon - t0):
         full = hist + cont
-        prob = np.ones(n_params)
-        csum = np.zeros(n_params)
-        for s in range(t0, m.horizon + 1):
-            _, j, k = _policy_step(m, pol, full[:s])
-            csum += m.cost[s - 1, j, k]
-            if s < m.horizon:
-                prob *= m.kernel[:, j, k, m.state_index(full[s])]
-        if crit.kind == "expectation":
-            acc += prob * csum
-        else:
-            acc += prob * np.exp(crit.kappa * csum)
+        key = None if memo is None else (full, tuple(pol.action(full[:s]) for s in range(t0, m.horizon + 1)))
+        term = None if key is None else memo.terms.get(key)
+        if term is None:
+            prob = np.ones(n_params)
+            csum = np.zeros(n_params)
+            for s in range(t0, m.horizon + 1):
+                _, j, k = _policy_step(m, pol, full[:s])
+                csum += m.cost[s - 1, j, k]
+                if s < m.horizon:
+                    prob *= m.kernel[:, j, k, m.state_index(full[s])]
+            if crit.kind == "expectation":
+                term = prob * csum
+            else:
+                term = prob * np.exp(crit.kappa * csum)
+            if key is not None:
+                memo.terms[key] = term
+        acc += term
 
     mask = xi.weights > 0.0
     if crit.kind == "expectation":
@@ -326,25 +378,23 @@ def enumerate_policies(m: ModelSpec, policy_cap: int = DEFAULT_POLICY_CAP) -> It
 
     Decision points are ordered by time, then lexicographically by the state
     history; actions run in declared order, so the enumeration order is
-    deterministic. Raises CapExceeded before yielding when the policy count
-    would pass policy_cap.
+    deterministic. Raises CapExceeded before yielding, as soon as the
+    decision points listed so far make the policy count pass policy_cap.
     """
     points: list[tuple[str, ...]] = []
     choices: list[tuple[str, ...]] = []
+    count = 1
     for t in range(1, m.horizon + 1):
         for cont in itertools.product(m.states, repeat=t - 1):
             hist = (m.initial_state,) + cont
             acts = m.admissible_actions(t, hist[-1])
             if not acts:
                 raise DomainError(f"no admissible action at (t={t}, {hist[-1]})")
+            count *= len(acts)
+            if count > policy_cap:
+                raise CapExceeded(f"policy space of size {count}+ exceeds cap {policy_cap}")
             points.append(hist)
             choices.append(acts)
-
-    count = 1
-    for c in choices:
-        count *= len(c)
-        if count > policy_cap:
-            raise CapExceeded(f"policy space of size {count}+ exceeds cap {policy_cap}")
 
     for combo in itertools.product(*choices):
         yield HistoryPolicy(decisions=dict(zip(points, combo)))
@@ -355,21 +405,35 @@ def brute_force_optimum(
 ) -> tuple[float, HistoryPolicy]:
     """Exhaustive minimization over all history policies.
 
-    Expectation policies are scored with the path oracle. Entropic policies
-    are scored with the one-step recursion, because that is the functional
-    the solver optimizes and the static path form provably differs from it
-    when costs depend on the unknown parameter. The first minimizer in
-    enumeration order wins ties.
+    Expectation policies are scored with the path oracle. Entropic and
+    custom (make_custom) policies are scored with the one-step recursion,
+    because that is the functional the solver optimizes and the static path
+    form provably differs from it when costs depend on the unknown
+    parameter. The first minimizer in enumeration order wins ties.
+
+    The search scores each distinct piece of work once per call. A
+    policy's recursive value at a history is a function of the posterior
+    there, which the history and the actions taken so far fix, and of its
+    children's values, which depend on later decisions only through the
+    subtree under the history. So the value of a subtree is one number for
+    each (history, actions so far, decisions in the subtree), shared by
+    every policy that agrees on them; the same holds for a path's term of
+    the static form given the path and the actions along it. Cached numbers
+    are the bits a fresh computation gives, so values and the argmin equal
+    those of scoring each policy with eval_policy_recursive or
+    eval_policy_paths. The cache lives only for the call and never touches
+    the belief graph.
     """
-    if crit.kind not in ("expectation", "entropic"):
-        raise DomainError("brute force supports only the built-in criteria")
+    memo: _Memo | None = None
     best_v: float | None = None
     best_p: HistoryPolicy | None = None
     for pol in enumerate_policies(m, policy_cap=policy_cap):
+        if memo is None:
+            memo = _Memo(pol.decisions)
         if crit.kind == "expectation":
-            v = eval_policy_paths(m, crit, pol)
+            v = _paths_value(m, crit, pol, (m.initial_state,), DEFAULT_PATH_CAP, memo)
         else:
-            v = eval_policy_recursive(m, crit, pol)
+            v = crit.report(_recursive_value(m, crit, pol, (m.initial_state,), (), memo))
         if best_v is None or v < best_v:
             best_v = v
             best_p = pol

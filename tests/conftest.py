@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from riskmdp import HistoryPolicy, ModelSpec, parse_model
+from riskmdp import CriterionSpec, HistoryPolicy, ModelSpec, make_custom, parse_model
 from riskmdp.model import random_instance  # noqa: F401  (re-exported)
 
 DATA = Path(__file__).parent / "data"
@@ -26,6 +26,22 @@ def rel_close(a: float, b: float, tol: float) -> bool:
 @pytest.fixture(scope="session")
 def sample_model() -> ModelSpec:
     return parse_model((DATA / "sample_model.json").read_text())
+
+
+def upper_semideviation(values, weights) -> float:
+    """mean + 0.5 * E[(v - mean)+] over the positive-weight atoms: a coherent
+    one-step risk map that is neither built-in criterion."""
+    live = np.asarray(weights) > 0.0
+    v = np.asarray(values, dtype=float)[live]
+    w = np.asarray(weights, dtype=float)[live]
+    mean = float(np.dot(w, v))
+    return mean + 0.5 * float(np.dot(w, np.maximum(v - mean, 0.0)))
+
+
+@pytest.fixture(scope="session")
+def semideviation() -> CriterionSpec:
+    """The mean-upper-semideviation map as both rho_hat and sigma."""
+    return make_custom("semideviation", upper_semideviation, upper_semideviation)
 
 
 def decision_points(m: ModelSpec) -> list[tuple[str, ...]]:

@@ -573,6 +573,22 @@ class TestEnumeration:
         with pytest.raises(CapExceeded):
             list(enumerate_policies(sample_model, policy_cap=7))
 
+    def test_cap_is_checked_while_listing_decision_points(self, monkeypatch):
+        # 6 states, T=8: 335 923 decision points, but 2 ** 20 passes the cap
+        # at the 20th, so listing stops there.
+        m = random_instance(0, n_states=6, n_actions=2, horizon=8, allow_restricted=False)
+        listed = []
+        admissible_actions = ModelSpec.admissible_actions
+
+        def counted(self, t, x):
+            listed.append((t, x))
+            return admissible_actions(self, t, x)
+
+        monkeypatch.setattr(ModelSpec, "admissible_actions", counted)
+        with pytest.raises(CapExceeded):
+            next(enumerate_policies(m))
+        assert len(listed) == 20
+
     def test_restricted_actions_shrink_the_space(self, sample_model):
         adm = np.array(sample_model.admissible)
         adm[0, 0, 1] = False  # no a1 at (t=1, s0)
@@ -594,6 +610,15 @@ class TestEnumeration:
         table, _ = solve_dp(sample_model, make_entropic(1.0), g)
         value, _ = brute_force_optimum(sample_model, make_entropic(1.0))
         assert rel_close(value, table.root_value, 1e-12)
+
+    def test_custom_criterion_solver_matches_brute_force(self, semideviation):
+        for seed in range(20):
+            m = random_instance(seed)
+            table, qmp = solve_dp(m, semideviation, build_reachable_belief_graph(m))
+            best, _ = brute_force_optimum(m, semideviation)
+            assert rel_close(table.root_value, best, 1e-12), f"seed {seed}"
+            achieved = eval_policy_recursive(m, semideviation, to_history_policy(qmp, m))
+            assert rel_close(achieved, best, 1e-12), f"seed {seed}"
 
     def test_brute_force_deterministic(self, sample_model):
         v1, p1 = brute_force_optimum(sample_model, make_entropic(1.0))
