@@ -5,8 +5,10 @@ For every model: one line with the digest of its serialize_model text
 (after checking that parse_model reads that text back as the same model),
 one with the digest of the belief-graph JSON, then, per criterion, one line
 with the digests of the value-table JSON and of the policy JSON, and one
-with the digest of the policy unfolded into a history policy. Both policies
-must read back through parse_policy as the same JSON. The criteria are the
+with the digest of the policy unfolded into a history policy, and one with
+the digest of the trajectory CSV and summary JSON of 50 rollouts (seed 0)
+under the model's first parameter. Both policies must read back through
+parse_policy as the same JSON. The criteria are the
 expectation and the entropic one at kappa 1e-3, 1 and 5. A model that
 raises prints the error instead. Run it on two checkouts and diff the
 outputs to check that a change keeps the bytes:
@@ -45,8 +47,12 @@ from riskmdp import (
     parse_policy,
     policy_to_json,
     serialize_model,
+    simulate_runs,
     solve_dp,
+    summarize,
+    summary_to_json,
     to_history_policy,
+    trajectories_to_csv,
     value_table_to_json,
 )
 from riskmdp.model import random_instance
@@ -118,6 +124,13 @@ def main() -> None:
                 if digest(policy_to_json(parse_policy(doc, m, g))) != digest(doc):
                     raise AssertionError(f"{label}, {name}: a {doc['type']} policy does not read back as itself")
             print(f"{label}\t{name}\thistory {digest(history)}")
+            theta = m.parameters[0]
+            try:
+                trajs = simulate_runs(m, qmp, theta, runs=50, seed=0)
+                runs = digest(trajectories_to_csv(trajs, m) + summary_to_json(summarize(trajs, theta)))
+            except RiskMdpError as e:
+                runs = f"error\t{type(e).__name__}: {e}"
+            print(f"{label}\t{name}\truns {runs}")
 
 
 if __name__ == "__main__":

@@ -231,12 +231,9 @@ def build_reachable_belief_graph(m: ModelSpec, node_cap: int = DEFAULT_NODE_CAP)
 
         # un[r, k, l, i] = weights[r, i] * kernel[i, xs[r], k, l]
         un = weights[:, None, None, :] * m.kernel[:, xs].transpose(1, 2, 3, 0)
-        # A NaN mass is kept, so the weight check below rejects it.
+        # A NaN mass is kept, so _normalize_rows rejects it.
         live = m.admissible[t - 1, xs][:, :, None] & ~(un.sum(axis=3) <= 0.0)
-        rows = un[live]
-        if np.any(rows < 0) or not np.all(np.isfinite(rows)):
-            raise DomainError("belief weights must be finite and nonnegative")
-        post = _normalize_rows(rows)
+        post = _normalize_rows(un[live])
         src, act, nxt = np.nonzero(live)
         # Key -> index of the new node, in order of first occurrence.
         index: dict[str, int] = {}

@@ -13,7 +13,7 @@ import json
 import sys
 from pathlib import Path
 
-from .belief import build_reachable_belief_graph, graph_to_json
+from .belief import DEFAULT_NODE_CAP, build_reachable_belief_graph, graph_to_json
 from .criterion import check_axioms, parse_criterion
 from .engine import (
     brute_force_optimum,
@@ -57,7 +57,7 @@ def _build_parser() -> _Parser:
     sp.add_argument("--model", required=True)
     sp.add_argument("--criterion", action="append", required=True,
                     help="inline JSON or a path to a JSON file")
-    sp.add_argument("--node-cap", type=int, default=1_000_000)
+    sp.add_argument("--node-cap", type=int, default=DEFAULT_NODE_CAP)
     sp.add_argument("--out", help="write the value table JSON here (default stdout)")
     sp.add_argument("--policy", help="also write the extracted policy JSON here")
 
@@ -65,7 +65,7 @@ def _build_parser() -> _Parser:
     sp.add_argument("--model", required=True)
     sp.add_argument("--criterion", action="append", required=True)
     sp.add_argument("--policy", required=True, help="policy JSON file")
-    sp.add_argument("--node-cap", type=int, default=1_000_000)
+    sp.add_argument("--node-cap", type=int, default=DEFAULT_NODE_CAP)
     sp.add_argument("--out")
 
     sp = sub.add_parser("oracle", help="exhaustive policy search for certification")
@@ -79,7 +79,7 @@ def _build_parser() -> _Parser:
     sp.add_argument("--theta-star", required=True)
     sp.add_argument("--runs", type=int, default=1000)
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--node-cap", type=int, default=1_000_000)
+    sp.add_argument("--node-cap", type=int, default=DEFAULT_NODE_CAP)
     sp.add_argument("--out", help="write trajectory CSV here; summary JSON goes to stdout")
 
     sp = sub.add_parser("check-axioms", help="randomized axiom probe for a built-in criterion")
@@ -90,7 +90,7 @@ def _build_parser() -> _Parser:
 
     sp = sub.add_parser("beliefs", help="export the reachable belief graph")
     sp.add_argument("--model", required=True)
-    sp.add_argument("--node-cap", type=int, default=1_000_000)
+    sp.add_argument("--node-cap", type=int, default=DEFAULT_NODE_CAP)
     sp.add_argument("--out")
 
     return p
@@ -100,12 +100,16 @@ def _stage(msg: str) -> None:
     print(msg, file=sys.stderr)
 
 
-def _load_model(path: str):
+def _read(kind: str, path: str) -> str:
+    """The text of the file at path; an unreadable file is a usage error."""
     try:
-        text = Path(path).read_text()
+        return Path(path).read_text()
     except OSError as e:
-        raise _UsageError(f"cannot read model file {path}: {e}") from None
-    return parse_model(text)
+        raise _UsageError(f"cannot read {kind} file {path}: {e}") from None
+
+
+def _load_model(path: str):
+    return parse_model(_read("model", path))
 
 
 def _load_criterion(values: list[str] | None):
@@ -115,20 +119,13 @@ def _load_criterion(values: list[str] | None):
         raise _UsageError("--criterion given more than once; pass it inline or as a file, not both")
     raw = values[0].strip()
     if not raw.startswith("{"):
-        try:
-            raw = Path(raw).read_text()
-        except OSError as e:
-            raise _UsageError(f"cannot read criterion file {values[0]}: {e}") from None
+        raw = _read("criterion", raw)
     return parse_criterion(raw)
 
 
 def _load_policy(m, path: str, node_cap: int) -> HistoryPolicy | QuasiMarkovPolicy:
     """Read a policy file; a quasi_markov policy is resolved over the model's belief graph."""
-    try:
-        text = Path(path).read_text()
-    except OSError as e:
-        raise _UsageError(f"cannot read policy file {path}: {e}") from None
-    doc = _json_doc(text, "policy is not valid JSON")
+    doc = _json_doc(_read("policy", path), "policy is not valid JSON")
     graph = None
     if isinstance(doc, dict) and doc.get("type") == "quasi_markov":
         graph = build_reachable_belief_graph(m, node_cap=node_cap)
@@ -149,10 +146,7 @@ def run_cli(argv: list[str]) -> int:
         if not args.subcommand:
             raise _UsageError("a subcommand is required")
         return _dispatch(args)
-    except _UsageError as e:
-        print(f"usage error: {e}", file=sys.stderr)
-        return 2
-    except DomainError as e:
+    except (_UsageError, DomainError) as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 2
     except (SchemaError, ValidationError, ZeroProbabilityObservation) as e:

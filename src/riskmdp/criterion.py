@@ -5,10 +5,9 @@ A criterion is described by two maps sharing the same scalar scale:
 * a marginal risk map rho_hat(values, weights) aggregating a
   parameter-indexed vector against a belief, and
 * a transition risk map sigma(values, probs) aggregating a
-  state-indexed vector against a next-state distribution,
+  state-indexed vector against a next-state distribution.
 
-plus a report transform applied once at the query root. Both maps must be
-normalized (zero maps to zero), monotone, translation invariant, and must
+Both maps must be normalized (zero maps to zero), monotone, translation invariant, and must
 ignore coordinates carrying zero probability mass. check_axioms probes all
 four properties with randomized inputs.
 """
@@ -50,7 +49,6 @@ class CriterionSpec:
     kind: str  # "expectation", "entropic", or "custom"
     rho_hat: MarginalRiskMap
     sigma: TransitionRiskMap
-    report: Callable[[float], float]
     kappa: float | None = None
     name: str = ""
 
@@ -165,7 +163,6 @@ def make_expectation() -> CriterionSpec:
         kind="expectation",
         rho_hat=MarginalRiskMap("expectation", _Mean()),
         sigma=TransitionRiskMap("expectation", _Mean()),
-        report=lambda v: v,
     )
 
 
@@ -179,7 +176,6 @@ def make_entropic(kappa: float) -> CriterionSpec:
         kind="entropic",
         rho_hat=MarginalRiskMap("entropic", ce),
         sigma=TransitionRiskMap("entropic", ce),
-        report=lambda v: v,
         kappa=ce.kappa,
     )
 
@@ -266,7 +262,6 @@ def make_custom(
     name: str,
     rho_hat: Callable[[np.ndarray, np.ndarray], float],
     sigma: Callable[[np.ndarray, np.ndarray], float],
-    report: Callable[[float], float] | None = None,
     samples: int = DEFAULT_AXIOM_SAMPLES,
     seed: int = 0,
 ) -> CriterionSpec:
@@ -281,7 +276,6 @@ def make_custom(
         kind="custom",
         rho_hat=MarginalRiskMap(name, rho_hat),
         sigma=TransitionRiskMap(name, sigma),
-        report=report if report is not None else (lambda v: v),
         name=name,
     )
     rep = check_axioms(spec, samples=samples, seed=seed)

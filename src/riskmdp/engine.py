@@ -159,7 +159,7 @@ def solve_dp(m: ModelSpec, crit: CriterionSpec, graph: BeliefGraph) -> tuple[Val
         values[level.ordinals] = q[rows, best]
         actions[level.ordinals] = best
 
-    table = ValueTable(values=values[:-1], criterion=crit, root_value=crit.report(float(values[0])))
+    table = ValueTable(values=values[:-1], criterion=crit, root_value=float(values[0]))
     return table, QuasiMarkovPolicy(actions=actions, graph=graph)
 
 
@@ -217,10 +217,10 @@ def eval_policy_recursive(
 
     Posteriors are recomputed from scratch at every history, which keeps this
     evaluator numerically independent of the belief graph's incremental
-    updates. The report transform is applied once at the query root.
+    updates.
     """
     hist = _coerce_history(m, history)
-    return crit.report(_recursive_value(m, crit, pol, hist, _prefix_actions(pol, hist)))
+    return _recursive_value(m, crit, pol, hist, _prefix_actions(pol, hist))
 
 
 class _Memo:
@@ -335,10 +335,8 @@ def _paths_value(
 
     mask = xi.weights > 0.0
     if crit.kind == "expectation":
-        val = float(np.dot(xi.weights[mask], acc[mask]))
-    else:
-        val = float(np.log(np.dot(xi.weights[mask], acc[mask]))) / crit.kappa
-    return crit.report(val)
+        return float(np.dot(xi.weights[mask], acc[mask]))
+    return float(np.log(np.dot(xi.weights[mask], acc[mask]))) / crit.kappa
 
 
 def eval_policy_decomposed(
@@ -370,7 +368,7 @@ def eval_policy_decomposed(
     f = np.zeros(len(m.parameters))
     for i in np.flatnonzero(xi.weights > 0.0):
         f[i] = cost_to_go(int(i), hist)
-    return crit.report(crit.rho_hat.evaluate(f, xi.weights))
+    return crit.rho_hat.evaluate(f, xi.weights)
 
 
 def enumerate_policies(m: ModelSpec, policy_cap: int = DEFAULT_POLICY_CAP) -> Iterator[HistoryPolicy]:
@@ -433,7 +431,7 @@ def brute_force_optimum(
         if crit.kind == "expectation":
             v = _paths_value(m, crit, pol, (m.initial_state,), DEFAULT_PATH_CAP, memo)
         else:
-            v = crit.report(_recursive_value(m, crit, pol, (m.initial_state,), (), memo))
+            v = _recursive_value(m, crit, pol, (m.initial_state,), (), memo)
         if best_v is None or v < best_v:
             best_v = v
             best_p = pol

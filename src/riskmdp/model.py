@@ -27,6 +27,7 @@ _MODEL_FIELDS = {
 _REQUIRED_FIELDS = _MODEL_FIELDS - {"admissible"}
 
 
+_BAD_WEIGHTS = "belief weights must be finite and nonnegative"
 _NONPOSITIVE_SUM = "cannot normalize a vector with nonpositive sum"
 _NOT_CONVERGED = "normalization did not converge"
 _WALK_STEPS = 64
@@ -120,14 +121,18 @@ def _ulp_steps(rows: np.ndarray, up: np.ndarray) -> np.ndarray:
 
 
 def _normalize_rows_each(rows: np.ndarray) -> tuple[np.ndarray, dict[int, DomainError]]:
-    """_normalize_exact applied to each row of a 2-D array, bit for bit, without raising.
+    """Belief(params, row).weights for each row of a 2-D array, bit for bit, without raising.
 
-    Returns the rows and {row index: the DomainError _normalize_exact raises
-    on that row}; those rows come back as they were. The divide, the argmax
-    fold and the walk each run on all rows at once.
+    Returns the rows and {row index: the DomainError Belief raises on that
+    row}: a negative or non-finite entry is a weight error, and the other
+    rows get the error _normalize_exact raises. Those rows come back as
+    they were. Only rows that pass the weight check are summed, so no row
+    raises a RuntimeWarning. The divide, the argmax fold and the walk each
+    run on all rows at once.
     """
-    rows = np.asarray(rows, dtype=float)
-    s = rows.sum(axis=1)
+    rows = np.ascontiguousarray(rows, dtype=float)
+    bad = np.any(rows < 0, axis=1) | ~np.all(np.isfinite(rows), axis=1)
+    s = np.where(bad[:, None], 0.0, rows).sum(axis=1)
     ok = (s > 0.0) & np.isfinite(s)
     # x / 1.0 == x, so rows that already sum to 1.0 come through unchanged.
     out = rows / np.where(ok, s, 1.0)[:, None]
@@ -138,7 +143,8 @@ def _normalize_rows_each(rows: np.ndarray) -> tuple[np.ndarray, dict[int, Domain
         live = d != 0.0
         r, d = r[live], d[live]
         out[r, j[r]] += d
-    errors = {i: DomainError(_NONPOSITIVE_SUM) for i in np.flatnonzero(~ok).tolist()}
+    errors = {i: DomainError(_BAD_WEIGHTS if b else _NONPOSITIVE_SUM)
+              for i, b in zip(np.flatnonzero(~ok).tolist(), bad[~ok].tolist())}
     if r.size:
         out[r], failed = _walk(out[r])
         r = r[failed]
@@ -148,10 +154,10 @@ def _normalize_rows_each(rows: np.ndarray) -> tuple[np.ndarray, dict[int, Domain
 
 
 def _normalize_rows(rows: np.ndarray) -> np.ndarray:
-    """_normalize_exact applied to each row of a 2-D array, bit for bit.
+    """Belief(params, row).weights for each row of a 2-D array, bit for bit.
 
-    The first row that cannot be normalized raises its DomainError, as
-    calling _normalize_exact on the rows in order would.
+    The first row Belief would reject raises its DomainError, as building
+    Beliefs from the rows in order would.
     """
     out, errors = _normalize_rows_each(rows)
     if errors:
@@ -185,7 +191,7 @@ class Belief:
         if w.shape != (len(self.params),):
             raise DomainError("belief weight vector does not match parameter labels")
         if np.any(w < 0) or not np.all(np.isfinite(w)):
-            raise DomainError("belief weights must be finite and nonnegative")
+            raise DomainError(_BAD_WEIGHTS)
         object.__setattr__(self, "weights", _readonly(_normalize_exact(w)))
 
     @classmethod

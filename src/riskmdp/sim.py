@@ -5,7 +5,8 @@ per run, keyed by (seed, run index), so runs are reproducible independently
 of execution order. Next states are drawn by inverse CDF over the declared
 state order. Because no run depends on another, all runs advance together,
 one time step at a time, as arrays over runs; runs that share a history are
-advanced as one.
+advanced as one. Each distinct history carries its trajectory record, which
+its children extend.
 """
 
 from __future__ import annotations
@@ -65,23 +66,6 @@ def _try(fn: Callable, *args):
         return e
 
 
-def _normalize_each(un: np.ndarray, errors: list) -> np.ndarray:
-    """The rows of un normalized as Belief(params, row) would, for rows whose error is None.
-
-    A row that Belief would reject gets its error in `errors` instead, and
-    is returned as it was.
-    """
-    for i in np.flatnonzero(np.any(un < 0, axis=1) | ~np.all(np.isfinite(un), axis=1)).tolist():
-        if errors[i] is None:
-            errors[i] = DomainError("belief weights must be finite and nonnegative")
-    ok = [i for i, e in enumerate(errors) if e is None]
-    out = un.copy()
-    out[ok], failed = _normalize_rows_each(un[ok])
-    for j, e in failed.items():
-        errors[ok[j]] = e
-    return out
-
-
 def simulate_runs(
     m: ModelSpec, pol: HistoryPolicy | QuasiMarkovPolicy, theta_star: str, runs: int, seed: int
 ) -> list[Trajectory]:
@@ -111,20 +95,15 @@ def simulate_runs(
     cdf = np.cumsum(m.kernel[i_star], axis=-1)
     cdf[..., -1] = 1.0
 
-    # The distinct histories at time t, each one's last state, posterior
-    # weights and Belief; run r is at history at[r]. Runs [0, n) are still
-    # rolling, and error is the first error of run n.
-    hists = [(m.initial_state,)]
+    # The distinct histories at time t: each one's states, its steps so far
+    # as (action, belief held, cost charged) triples, its last state,
+    # posterior weights and Belief; run r is at history at[r]. Runs [0, n)
+    # are still rolling, and error is the first error of run n.
+    hists, steps = [(m.initial_state,)], [()]
     x = np.array([m.state_index(m.initial_state)])
     weights, beliefs = m.prior.weights[None, :], [m.prior]
     at = np.zeros(runs, dtype=np.intp)
     n, error = runs, None
-    # Per time t: the beliefs, actions and costs of its distinct histories,
-    # and each next history's parent among them.
-    held: list[list[Belief]] = []
-    taken: list[list[str | None]] = []
-    charged: list[list[float]] = []
-    parents: list[np.ndarray] = []
     for t in range(1, horizon + 1):
         decided = [_try(_policy_step, m, pol, h) for h in hists]
         failed = [isinstance(d, RiskMdpError) for d in decided]
@@ -133,24 +112,24 @@ def simulate_runs(
             n, error, at = f, decided[at[f]], at[:f]
         k = np.array([0 if bad else d[2] for d, bad in zip(decided, failed)], dtype=np.intp)
         y = (cdf[x[at], k[at]] <= draws[:n, t - 1, None]).sum(axis=1)
+        taken = [None if bad else (d[0], b, c) for d, bad, b, c
+                 in zip(decided, failed, beliefs, m.cost[t - 1, x, k, i_star].tolist())]
 
         nxt, at = np.unique(at * len(states) + y, return_inverse=True)
         parent, y = np.divmod(nxt, len(states))
         un = weights[parent] * m.kernel[:, x[parent], k[parent], y].T
-        errors = [_zero_probability(states[x[p]], actions[k[p]], states[l]) if zero else None
-                  for p, l, zero in zip(parent.tolist(), y.tolist(), (un.sum(axis=1) <= 0.0).tolist())]
-        post = _normalize_each(un, errors)
+        post, bad_rows = _normalize_rows_each(un)
+        zero = (un.sum(axis=1) <= 0.0).tolist()
+        errors = [_zero_probability(states[x[p]], actions[k[p]], states[l]) if zero[i] else bad_rows.get(i)
+                  for i, (p, l) in enumerate(zip(parent.tolist(), y.tolist()))]
         f = _first_failing_run([e is not None for e in errors], at)
         if f is not None:
             n, error = f, errors[at[f]]
             kept, at = np.unique(at[:f], return_inverse=True)
             parent, y, post = parent[kept], y[kept], post[kept]
 
-        held.append(beliefs)
-        taken.append([None if bad else d[0] for d, bad in zip(decided, failed)])
-        charged.append(m.cost[t - 1, x, k, i_star].tolist())
-        parents.append(parent)
         hists = [hists[p] + (states[l],) for p, l in zip(parent.tolist(), y.tolist())]
+        steps = [steps[p] + (taken[p],) for p in parent.tolist()]
         x, weights = y, post
         weights.setflags(write=False)
         beliefs = [Belief._normalized(params, w) for w in weights]
@@ -159,23 +138,12 @@ def simulate_runs(
     if error is not None:
         raise error
 
-    # anc[t - 1][d] is final history d's ancestor among the histories at
-    # time t. Each final history makes one trajectory, shared by the runs
-    # that reached it.
-    anc = [np.arange(len(hists))]
-    for parent in reversed(parents):
-        anc.insert(0, parent[anc[0]])
-    anc = [a.tolist() for a in anc[:-1]]
+    # Each final history makes one trajectory, shared by the runs that reached it.
     trajectories = []
-    for d, hist in enumerate(hists):
-        costs = tuple([c[a[d]] for c, a in zip(charged, anc)])
-        trajectories.append(Trajectory(
-            states=hist,
-            actions=tuple([u[a[d]] for u, a in zip(taken, anc)]),
-            beliefs=tuple([b[a[d]] for b, a in zip(held, anc)]),
-            true_costs=costs,
-            total_true_cost=float(sum(costs)),
-        ))
+    for hist, record in zip(hists, steps):
+        taken, held, costs = zip(*record) if record else ((), (), ())
+        trajectories.append(Trajectory(states=hist, actions=taken, beliefs=held, true_costs=costs,
+                                       total_true_cost=float(sum(costs))))
     return [trajectories[d] for d in at.tolist()]
 
 

@@ -179,7 +179,6 @@ def test_c5_axiom_probe():
         kind="custom",
         rho_hat=MarginalRiskMap("worst-case", bad),
         sigma=TransitionRiskMap("worst-case", bad),
-        report=lambda v: v,
         name="worst-case",
     )
     report = check_axioms(broken, samples=1000, seed=7)

@@ -1,5 +1,7 @@
 """Bayes updates, batch posteriors, the martingale identity, and the belief graph."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,8 +22,13 @@ from riskmdp import (
     predictive_next_state,
 )
 from riskmdp.belief import HIDDEN_MASS
+from riskmdp.model import _normalize_rows_each
 
 from conftest import random_instance, random_history
+
+BAD_WEIGHTS = "belief weights must be finite and nonnegative"
+# Kernel rows that make posteriors with a negative or non-finite weight.
+BAD_KERNEL_ROWS = [[1.2, -0.2], [0.1, np.nan], [np.inf, 1.0], [np.inf, -np.inf]]
 
 
 def absorbing_variant(sample_model: ModelSpec) -> ModelSpec:
@@ -305,6 +312,26 @@ class TestGraph:
         assert g.child(g.root, "a1", "s1") is None
         assert g.child(g.root, "a1", "s0") is not None
         assert len(g.nodes) == 4  # the (2, s1, prior) node is unreachable now
+
+    @pytest.mark.parametrize("row", BAD_KERNEL_ROWS)
+    def test_invalid_kernel_entry(self, sample_model, row):
+        # ModelSpec does not check its kernel (parse_model does), so the
+        # build must reject the posterior such an entry makes.
+        kernel = np.array(sample_model.kernel)
+        kernel[0, 0, 0] = row
+        m = dataclasses.replace(sample_model, kernel=kernel)
+        with pytest.raises(DomainError, match=f"^{BAD_WEIGHTS}$"):
+            build_reachable_belief_graph(m)
+
+    def test_rows_with_bad_weights_are_reported_without_warning(self):
+        # pytest turns a RuntimeWarning, such as inf + -inf in a row sum, into an error.
+        rows = np.array([[0.25, 0.75]] + BAD_KERNEL_ROWS + [[0.0, 0.0]])
+        out, errors = _normalize_rows_each(rows)
+        assert {i: str(e) for i, e in errors.items()} == {
+            1: BAD_WEIGHTS, 2: BAD_WEIGHTS, 3: BAD_WEIGHTS, 4: BAD_WEIGHTS,
+            5: "cannot normalize a vector with nonpositive sum"}
+        assert np.array_equal(out[1:], rows[1:], equal_nan=True)
+        assert out[0].tolist() == [0.25, 0.75]
 
     def test_horizon_one_graph(self):
         m = random_instance(11, horizon=1)

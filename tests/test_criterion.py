@@ -43,10 +43,6 @@ class TestExpectation:
         assert got == 2.5
         assert crit.sigma.evaluate(np.array([1.0, 3.0]), np.array([0.25, 0.75])) == 2.5
 
-    def test_report_is_identity(self):
-        crit = make_expectation()
-        assert crit.report(1.234) == 1.234
-
     def test_describe(self):
         assert make_expectation().describe() == {"type": "expectation"}
 
@@ -286,7 +282,6 @@ def broken_max_criterion() -> CriterionSpec:
         kind="custom",
         rho_hat=MarginalRiskMap("broken-max", ev),
         sigma=TransitionRiskMap("broken-max", ev),
-        report=lambda v: v,
         name="broken-max",
     )
 

@@ -292,7 +292,7 @@ class TestEvaluators:
         from riskmdp.criterion import CriterionSpec, MarginalRiskMap, TransitionRiskMap
         mean = lambda v, w: float(np.dot(w, v))
         crit = CriterionSpec("custom", MarginalRiskMap("m", mean),
-                             TransitionRiskMap("m", mean), lambda v: v, name="m")
+                             TransitionRiskMap("m", mean), name="m")
         with pytest.raises(DomainError):
             eval_policy_paths(sample_model, crit, all_a0_policy())
 

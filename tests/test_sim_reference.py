@@ -138,6 +138,14 @@ def test_random_instance(seed):
     assert_matches_reference(m, solved(m), runs=40, seed=seed)
 
 
+@pytest.mark.parametrize("seed", range(2))
+def test_wide_random_instance(seed):
+    # Six states over five steps: most runs reach a history no other run shares.
+    m = random_instance(seed, n_states=6, n_actions=2, n_params=3, horizon=5)
+    assert_matches_reference(m, random_policy(m, np.random.default_rng(seed)), runs=300, seed=seed)
+    assert_matches_reference(m, solved(m), runs=300, seed=seed)
+
+
 def test_one_draw_call_equals_sequential_draws():
     for seed, horizon in ((0, 1), (3, 6), (2**40 + 5, 11)):
         batched = _run_uniforms(seed, 7, horizon)
@@ -172,7 +180,8 @@ def test_theta_star_outside_prior_support(sample_model):
     assert_matches_reference(m, solved(m), runs=20, seed=0)
 
 
-@pytest.mark.parametrize("row", [[1.2, -0.2], [0.1, float("nan")]])
+@pytest.mark.parametrize("row", [[1.2, -0.2], [0.1, float("nan")], [float("inf"), 1.0],
+                                 [float("inf"), float("-inf")]])
 def test_invalid_kernel_entry(sample_model, row):
     # ModelSpec does not check its kernel (parse_model does), so the rollout
     # must reject the posterior such an entry makes when a run observes s1.
