@@ -7,9 +7,9 @@ A criterion is described by two maps sharing the same scalar scale:
 * a transition risk map sigma(values, probs) aggregating a
   state-indexed vector against a next-state distribution.
 
-Both maps must be normalized (zero maps to zero), monotone, translation invariant, and must
-ignore coordinates carrying zero probability mass. check_axioms probes all
-four properties with randomized inputs.
+Both maps must be normalized (zero maps to zero), monotone, translation
+invariant, and must ignore coordinates carrying zero probability mass.
+check_axioms probes all four properties with randomized inputs.
 """
 
 from __future__ import annotations
