@@ -34,17 +34,16 @@ def bayes_update(m: ModelSpec, xi: Belief, x: str, u: str, x_next: str) -> Belie
     """Condition the belief on observing the transition (x, u) -> x_next.
 
     Raises ZeroProbabilityObservation when the observation has probability
-    zero under the predictive distribution. Parameters outside the support
-    of xi stay outside the support of the result.
+    zero, that is when every unnormalized weight is ±0.0; a negative or
+    non-finite weight raises DomainError first. Parameters outside the
+    support of xi stay outside the support of the result.
     """
     if xi.params != m.parameters:
         raise DomainError("belief is not over this model's parameters")
     j, k = _check_step(m, x, u)
     l = m.state_index(x_next)
-    lik = m.kernel[:, j, k, l]
-    un = xi.weights * lik
-    denom = float(un.sum())
-    if denom <= 0.0:
+    un = xi.weights * m.kernel[:, j, k, l]
+    if not un.any():
         raise _zero_probability(x, u, x_next)
     return Belief(m.parameters, un)
 
@@ -96,7 +95,7 @@ def posterior_from_history(m: ModelSpec, history: Sequence[str], actions: Sequen
     folding bayes_update over the transitions.
     """
     un = m.prior.weights * _likelihoods(m, history, actions)
-    if float(un.sum()) <= 0.0:
+    if not un.any():
         raise ZeroProbabilityObservation("history has zero probability under the prior")
     return Belief(m.parameters, un)
 
@@ -207,11 +206,14 @@ def build_reachable_belief_graph(m: ModelSpec, node_cap: int = DEFAULT_NODE_CAP)
     For the N nodes of a level, every child posterior is formed at once as
     an (N, n_actions, n_states, n_params) array. Inadmissible moves and
     transitions with zero predictive probability are pruned, so Bayes
-    updates never divide by zero; the rest are normalized exactly, row by
-    row. Children are deduplicated by their rounded fingerprint and created
-    in (parent, action, next state) order, so the first child to reach a
-    fingerprint supplies its belief. Raises CapExceeded when a level would
-    take the node count past node_cap.
+    updates never divide by zero. A transition has probability zero exactly
+    when every unnormalized weight is ±0.0, and weights are checked first:
+    the other rows are normalized exactly, row by row, and a negative or
+    non-finite weight raises DomainError. Children are deduplicated by
+    their rounded fingerprint and created in (parent, action, next state)
+    order, so the first child to reach a fingerprint supplies its belief.
+    Raises CapExceeded when a level would take the node count past
+    node_cap.
     """
     if node_cap < 1:
         raise DomainError(f"node_cap must be >= 1, got {node_cap}")
@@ -231,8 +233,7 @@ def build_reachable_belief_graph(m: ModelSpec, node_cap: int = DEFAULT_NODE_CAP)
 
         # un[r, k, l, i] = weights[r, i] * kernel[i, xs[r], k, l]
         un = weights[:, None, None, :] * m.kernel[:, xs].transpose(1, 2, 3, 0)
-        # A NaN mass is kept, so _normalize_rows rejects it.
-        live = m.admissible[t - 1, xs][:, :, None] & ~(un.sum(axis=3) <= 0.0)
+        live = m.admissible[t - 1, xs][:, :, None] & un.any(axis=3)
         post = _normalize_rows(un[live])
         src, act, nxt = np.nonzero(live)
         # Key -> index of the new node, in order of first occurrence.

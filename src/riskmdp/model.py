@@ -120,19 +120,30 @@ def _ulp_steps(rows: np.ndarray, up: np.ndarray) -> np.ndarray:
     return np.where(bits >= 0, bits, np.iinfo(np.int64).min - bits).view(np.float64)
 
 
+def _row_sums(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The weight check for each row of a 2-D array: (rows, bad, sums).
+
+    rows is the array read C-contiguous as floats, bad masks the rows with
+    a negative or non-finite entry, and sums[i] is the sum of row i, 0.0
+    for a bad row. Only rows that pass the check are summed, so no NaN or
+    infinite entry raises a RuntimeWarning, and each sum is the float of
+    summing that row on its own.
+    """
+    rows = np.ascontiguousarray(rows, dtype=float)
+    bad = np.any(rows < 0, axis=1) | ~np.all(np.isfinite(rows), axis=1)
+    return rows, bad, np.where(bad[:, None], 0.0, rows).sum(axis=1)
+
+
 def _normalize_rows_each(rows: np.ndarray) -> tuple[np.ndarray, dict[int, DomainError]]:
     """Belief(params, row).weights for each row of a 2-D array, bit for bit, without raising.
 
     Returns the rows and {row index: the DomainError Belief raises on that
-    row}: a negative or non-finite entry is a weight error, and the other
-    rows get the error _normalize_exact raises. Those rows come back as
-    they were. Only rows that pass the weight check are summed, so no row
-    raises a RuntimeWarning. The divide, the argmax fold and the walk each
-    run on all rows at once.
+    row}: a row _row_sums marks bad is a weight error, and the other rows
+    get the error _normalize_exact raises. Those rows come back as they
+    were. The divide, the argmax fold and the walk each run on all rows at
+    once.
     """
-    rows = np.ascontiguousarray(rows, dtype=float)
-    bad = np.any(rows < 0, axis=1) | ~np.all(np.isfinite(rows), axis=1)
-    s = np.where(bad[:, None], 0.0, rows).sum(axis=1)
+    rows, bad, s = _row_sums(rows)
     ok = (s > 0.0) & np.isfinite(s)
     # x / 1.0 == x, so rows that already sum to 1.0 come through unchanged.
     out = rows / np.where(ok, s, 1.0)[:, None]
@@ -540,25 +551,20 @@ def _validate_raw(m: ModelSpec, prior_vec: np.ndarray) -> list[Issue]:
     if m.initial_state not in m.states:
         err("initial_state", f"initial_state {m.initial_state!r} not in states")
 
-    if np.any(prior_vec < 0) or not np.all(np.isfinite(prior_vec)):
+    _, bad, sums = _row_sums(prior_vec[None, :])
+    if bad[0]:
         err("prior", "prior weights must be finite and nonnegative")
-    else:
-        s = float(prior_vec.sum())
-        if abs(s - 1.0) > STOCHASTIC_TOL:
-            err("prior", f"prior not a distribution: sums to {s!r}")
-        elif not np.any(prior_vec > 0):
-            err("prior", "prior has empty support")
+    elif abs(sums[0] - 1.0) > STOCHASTIC_TOL:
+        err("prior", f"prior not a distribution: sums to {float(sums[0])!r}")
 
-    for i, th in enumerate(m.parameters):
-        for j, x in enumerate(m.states):
-            for k, u in enumerate(m.actions):
-                row = m.kernel[i, j, k]
-                if np.any(row < 0) or not np.all(np.isfinite(row)):
-                    err("kernel", f"kernel row not stochastic: negative or non-finite entry at ({th}, {x}, {u})")
-                    continue
-                s = float(row.sum())
-                if abs(s - 1.0) > STOCHASTIC_TOL:
-                    err("kernel", f"kernel row not stochastic: ({th}, {x}, {u}) sums to {s!r}")
+    _, bad, sums = _row_sums(m.kernel.reshape(n_p * n_s * n_a, n_s))
+    bad, sums = bad.reshape(n_p, n_s, n_a), sums.reshape(n_p, n_s, n_a)
+    for i, j, k in np.argwhere(bad | (np.abs(sums - 1.0) > STOCHASTIC_TOL)).tolist():
+        where = f"({m.parameters[i]}, {m.states[j]}, {m.actions[k]})"
+        if bad[i, j, k]:
+            err("kernel", f"kernel row not stochastic: negative or non-finite entry at {where}")
+        else:
+            err("kernel", f"kernel row not stochastic: {where} sums to {float(sums[i, j, k])!r}")
 
     if m.horizon >= 1:
         if np.any(m.cost < 0) or not np.all(np.isfinite(m.cost)):
@@ -566,23 +572,17 @@ def _validate_raw(m: ModelSpec, prior_vec: np.ndarray) -> list[Issue]:
             t, j, k, i = bad[0]
             err("cost", f"costs must be finite and nonnegative; first violation at "
                         f"(t={t + 1}, {m.states[j]}, {m.actions[k]}, {m.parameters[i]})")
-        for t in range(1, m.horizon + 1):
-            for j, x in enumerate(m.states):
-                if not m.admissible[t - 1, j].any():
-                    err("admissible", f"empty admissible action set at (t={t}, {x})")
+        for t, j in np.argwhere(~m.admissible.any(axis=2)).tolist():
+            err("admissible", f"empty admissible action set at (t={t + 1}, {m.states[j]})")
 
-    # Transitions unreachable under the prior-weighted predictive kernel get a warning.
-    if not any(i.severity == "error" for i in issues):
+    # Transitions unreachable under the prior-weighted predictive kernel get a
+    # warning. pred[j, k, l] is zero exactly when every term of the sum is.
+    if not issues:
         prior_n = prior_vec / prior_vec.sum()
-        ever_admissible = m.admissible.any(axis=0)
-        for j, x in enumerate(m.states):
-            for k, u in enumerate(m.actions):
-                if not ever_admissible[j, k]:
-                    continue
-                pred = prior_n @ m.kernel[:, j, k, :]
-                for l, y in enumerate(m.states):
-                    if pred[l] == 0.0:
-                        warn("unreachable", f"transition ({x}, {u}, {y}) has zero prior-predictive probability")
+        pred = (prior_n[:, None, None, None] * m.kernel).sum(axis=0)
+        for j, k, l in np.argwhere(m.admissible.any(axis=0)[:, :, None] & (pred == 0.0)).tolist():
+            warn("unreachable", f"transition ({m.states[j]}, {m.actions[k]}, {m.states[l]}) "
+                                "has zero prior-predictive probability")
     return issues
 
 
@@ -605,14 +605,13 @@ def gen_clinical_trials_model(
     theta_grid: Sequence[float],
     horizon: int,
     prior: Belief | Mapping[str, float] | Mapping[float, float] | None = None,
-    response: Callable[[float, float], float] | Mapping[tuple[float, float], float] | None = None,
+    response: Callable[[float, float], float] | None = None,
 ) -> ModelSpec:
     """Build a dose-finding model: states {0,1} record the last response.
 
     The transition to state "1" (toxic) has probability response(theta, dose),
     independent of the current state, and the stage cost is |dose - theta|.
-    response defaults to the logistic curve; a mapping keyed by
-    (theta, dose) may be supplied instead.
+    response defaults to the logistic curve.
     """
     if horizon < 1:
         raise DomainError(f"horizon must be >= 1, got {horizon}")
@@ -625,19 +624,7 @@ def gen_clinical_trials_model(
     if len(set(theta_grid)) != len(tuple(theta_grid)):
         raise DomainError("theta_grid values must be distinct")
 
-    if response is None:
-        psi = logistic_response
-    elif callable(response):
-        psi = response
-    else:
-        table = dict(response)
-
-        def psi(theta: float, dose: float) -> float:
-            try:
-                return float(table[(theta, dose)])
-            except KeyError:
-                raise DomainError(f"response table missing entry for (theta={theta}, dose={dose})") from None
-
+    psi = logistic_response if response is None else response
     states = ("0", "1")
     action_labels = tuple(_num_label(d) for d in doses)
     param_labels = tuple(_num_label(th) for th in theta_grid)
@@ -661,10 +648,9 @@ def gen_clinical_trials_model(
             p = float(psi(th, d))
             if not 0.0 <= p <= 1.0:
                 raise DomainError(f"response(theta={th}, dose={d}) = {p} outside [0, 1]")
-            row = _normalize_exact(np.array([1.0 - p, p])) if 0.0 < p < 1.0 else np.array([1.0 - p, p])
-            kernel[i, 0, k] = row
-            kernel[i, 1, k] = row
+            kernel[i, :, k] = [1.0 - p, p]
             cost[:, :, k, i] = abs(d - th)
+    kernel = _normalize_rows(kernel.reshape(-1, 2)).reshape(kernel.shape)
 
     return ModelSpec(
         horizon=horizon,
@@ -703,12 +689,9 @@ def random_instance(
     actions = tuple(f"u{i}" for i in range(nu))
     params = tuple(f"th{i}" for i in range(nth))
 
-    kernel = np.zeros((nth, nx, nu, nx))
-    for i in range(nth):
-        for j in range(nx):
-            for k in range(nu):
-                a = rng.integers(1, 10, size=nx).astype(float)
-                kernel[i, j, k] = _normalize_exact(a)
+    # One draw per kernel row, in (parameter, state, action) order.
+    rows = np.array([rng.integers(1, 10, size=nx) for _ in range(nth * nx * nu)], dtype=float)
+    kernel = _normalize_rows(rows).reshape(nth, nx, nu, nx)
 
     cost = rng.integers(0, 9, size=(T, nx, nu, nth)).astype(float) * 0.5
     if theta_free_costs:

@@ -119,7 +119,7 @@ def simulate_runs(
         parent, y = np.divmod(nxt, len(states))
         un = weights[parent] * m.kernel[:, x[parent], k[parent], y].T
         post, bad_rows = _normalize_rows_each(un)
-        zero = (un.sum(axis=1) <= 0.0).tolist()
+        zero = (~un.any(axis=1)).tolist()
         errors = [_zero_probability(states[x[p]], actions[k[p]], states[l]) if zero[i] else bad_rows.get(i)
                   for i, (p, l) in enumerate(zip(parent.tolist(), y.tolist()))]
         f = _first_failing_run([e is not None for e in errors], at)

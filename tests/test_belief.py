@@ -29,6 +29,20 @@ from conftest import random_instance, random_history
 BAD_WEIGHTS = "belief weights must be finite and nonnegative"
 # Kernel rows that make posteriors with a negative or non-finite weight.
 BAD_KERNEL_ROWS = [[1.2, -0.2], [0.1, np.nan], [np.inf, 1.0], [np.inf, -np.inf]]
+# (th1, th2) kernel rows at (s0, a0) of the sample model. Each pair makes a
+# posterior with a negative or non-finite weight. The unnormalized posterior
+# of the last two sums to NaN after observing s0 and to -0.1 after s1.
+INF_PAIR = ([np.inf, 1.0], [-np.inf, 1.0])
+NEGATIVE_PAIR = ([1.2, -0.2], [1.0, 0.0])
+BAD_KERNEL_PAIRS = ([pytest.param((row, [0.7, 0.3]), id=f"row{i}") for i, row in enumerate(BAD_KERNEL_ROWS)]
+                    + [pytest.param(INF_PAIR, id="inf_pair"), pytest.param(NEGATIVE_PAIR, id="negative_pair")])
+
+
+def with_s0_a0_rows(m: ModelSpec, rows) -> ModelSpec:
+    """m with kernel[i, s0, a0] = rows[i]; ModelSpec does not check its kernel (parse_model does)."""
+    kernel = np.array(m.kernel)
+    kernel[:, m.state_index("s0"), m.action_index("a0")] = rows
+    return dataclasses.replace(m, kernel=kernel)
 
 
 def absorbing_variant(sample_model: ModelSpec) -> ModelSpec:
@@ -92,6 +106,16 @@ class TestBayesUpdate:
         )
         with pytest.raises(DomainError, match="never admissible"):
             bayes_update(m, m.prior, "s1", "a1", "s0")
+
+    @pytest.mark.parametrize("rows, y", [pytest.param(INF_PAIR, "s0", id="inf_pair"),
+                                         pytest.param(NEGATIVE_PAIR, "s1", id="negative_pair")])
+    def test_invalid_kernel_entry(self, sample_model, rows, y):
+        # The weight check comes before the zero-probability test.
+        m = with_s0_a0_rows(sample_model, rows)
+        with pytest.raises(DomainError, match=f"^{BAD_WEIGHTS}$"):
+            bayes_update(m, m.prior, "s0", "a0", y)
+        with pytest.raises(DomainError, match=f"^{BAD_WEIGHTS}$"):
+            posterior_from_history(m, ("s0", y), ("a0",))
 
     def test_support_never_grows(self, sample_model):
         xi = Belief(sample_model.parameters, np.array([0.0, 1.0]))
@@ -313,15 +337,12 @@ class TestGraph:
         assert g.child(g.root, "a1", "s0") is not None
         assert len(g.nodes) == 4  # the (2, s1, prior) node is unreachable now
 
-    @pytest.mark.parametrize("row", BAD_KERNEL_ROWS)
-    def test_invalid_kernel_entry(self, sample_model, row):
-        # ModelSpec does not check its kernel (parse_model does), so the
-        # build must reject the posterior such an entry makes.
-        kernel = np.array(sample_model.kernel)
-        kernel[0, 0, 0] = row
-        m = dataclasses.replace(sample_model, kernel=kernel)
+    @pytest.mark.parametrize("rows", BAD_KERNEL_PAIRS)
+    def test_invalid_kernel_entry(self, sample_model, rows):
+        # The build must reject the posterior such an entry makes, also when
+        # its mass is NaN or negative, rather than prune it.
         with pytest.raises(DomainError, match=f"^{BAD_WEIGHTS}$"):
-            build_reachable_belief_graph(m)
+            build_reachable_belief_graph(with_s0_a0_rows(sample_model, rows))
 
     def test_rows_with_bad_weights_are_reported_without_warning(self):
         # pytest turns a RuntimeWarning, such as inf + -inf in a row sum, into an error.

@@ -486,12 +486,9 @@ class TestTrialGenerator:
     def test_response_table(self):
         table = {(1.0, 1.0): 0.2, (1.0, 2.0): 0.8,
                  (2.0, 1.0): 0.1, (2.0, 2.0): 0.4}
-        m = gen_clinical_trials_model([1.0, 2.0], [1.0, 2.0], horizon=1, response=table)
+        m = gen_clinical_trials_model([1.0, 2.0], [1.0, 2.0], horizon=1,
+                                      response=lambda th, d: table[th, d])
         assert abs(m.kernel_row("1", "0", "2")[1] - 0.8) < 1e-15
-
-    def test_response_table_missing_entry(self):
-        with pytest.raises(DomainError, match="missing"):
-            gen_clinical_trials_model([1.0, 2.0], [1.0], horizon=1, response={(1.0, 1.0): 0.2})
 
     def test_response_out_of_range(self):
         with pytest.raises(DomainError, match="outside"):

@@ -38,6 +38,7 @@ from riskmdp.engine import _policy_step
 from riskmdp.sim import Trajectory, _run_uniforms
 
 from conftest import DATA, random_instance, random_policy
+from test_belief import BAD_KERNEL_ROWS, INF_PAIR, with_s0_a0_rows
 
 
 def _run_generator(seed: int, run: int) -> np.random.Generator:
@@ -180,19 +181,19 @@ def test_theta_star_outside_prior_support(sample_model):
     assert_matches_reference(m, solved(m), runs=20, seed=0)
 
 
-@pytest.mark.parametrize("row", [[1.2, -0.2], [0.1, float("nan")], [float("inf"), 1.0],
-                                 [float("inf"), float("-inf")]])
-def test_invalid_kernel_entry(sample_model, row):
-    # ModelSpec does not check its kernel (parse_model does), so the rollout
-    # must reject the posterior such an entry makes when a run observes s1.
-    kernel = np.array(sample_model.kernel)
-    kernel[0, 0, 0] = row
-    m = dataclasses.replace(sample_model, kernel=kernel)
+@pytest.mark.parametrize("rows, theta_star",
+                         [pytest.param((row, [0.7, 0.3]), "th2", id=f"row{i}") for i, row in enumerate(BAD_KERNEL_ROWS)]
+                         + [pytest.param(INF_PAIR, "th1", id="inf_pair")])
+def test_invalid_kernel_entry(sample_model, rows, theta_star):
+    # The rollout must reject the posterior such an entry makes when a run
+    # observes s1 (under th2) or s0 (under th1, where the unnormalized
+    # posterior sums to NaN).
+    m = with_s0_a0_rows(sample_model, rows)
     pol = HistoryPolicy({("s0",): "a0", ("s0", "s0"): "a0", ("s0", "s1"): "a0"})
     seen = set()
     for seed in range(10):
-        want = outcome(m, reference_simulate_runs, pol, "th2", 10, seed)
-        assert outcome(m, simulate_runs, pol, "th2", 10, seed) == want
+        want = outcome(m, reference_simulate_runs, pol, theta_star, 10, seed)
+        assert outcome(m, simulate_runs, pol, theta_star, 10, seed) == want
         seen.add(want[:2])
     assert (DomainError, "belief weights must be finite and nonnegative") in seen
 
