@@ -6,8 +6,10 @@ with its uniform prior, one per horizon. Each repeat times, in one process:
 parsing the model's JSON, building the belief graph, solving it under the
 expectation and the entropic (kappa 1) criterion, and writing each
 criterion's value-table and policy JSON text (the export columns add both
-criteria). The table gives the median of each phase over the repeats, in
-seconds, as markdown:
+criteria), then rolling the entropic policy out as `riskmdp simulate` does:
+2 000 runs (seed 0) under the first parameter, with the trajectory CSV text
+and the summary JSON. The table gives the median of each phase over the
+repeats, in seconds, as markdown:
 
     PYTHONPATH=src python scripts/phase_times.py --horizons 5 7 9 11 --repeats 3
 """
@@ -27,12 +29,26 @@ from riskmdp import (
     parse_model,
     policy_to_json,
     serialize_model,
+    simulate_runs,
     solve_dp,
+    summarize,
+    summary_to_json,
+    trajectories_to_csv,
     value_table_to_json,
 )
 
 CRITERIA = (("expectation", make_expectation()), ("entropic", make_entropic(1.0)))
-PHASES = ("parse", "build", "solve expectation", "solve entropic", "values JSON", "policy JSON")
+PHASES = ("parse", "build", "solve expectation", "solve entropic", "values JSON", "policy JSON",
+          "simulate + CSV + summary")
+ROLLOUT_RUNS = 2000
+
+
+def rollout(m, qmp) -> None:
+    """The rollout, CSV text and summary JSON of `riskmdp simulate` under the first parameter."""
+    theta = m.parameters[0]
+    trajs = simulate_runs(m, qmp, theta, ROLLOUT_RUNS, 0)
+    trajectories_to_csv(trajs, m)
+    summary_to_json(summarize(trajs, theta))
 
 
 def timed(times: dict, phase: str, fn, *args):
@@ -51,6 +67,7 @@ def one_repeat(text: str) -> tuple[dict, int, int]:
         table, qmp = timed(times, f"solve {name}", solve_dp, m, crit, g)
         timed(times, "values JSON", lambda: json.dumps(value_table_to_json(table, qmp)))
         timed(times, "policy JSON", lambda: json.dumps(policy_to_json(qmp)))
+    timed(times, "simulate + CSV + summary", rollout, m, qmp)
     return times, len(g.ids), len(g.edges)
 
 

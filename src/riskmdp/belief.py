@@ -35,14 +35,16 @@ def bayes_update(m: ModelSpec, xi: Belief, x: str, u: str, x_next: str) -> Belie
 
     Raises ZeroProbabilityObservation when the observation has probability
     zero, that is when every unnormalized weight is ±0.0; a negative or
-    non-finite weight raises DomainError first. Parameters outside the
-    support of xi stay outside the support of the result.
+    non-finite weight raises DomainError first, also the NaN of a zero
+    weight times an infinite kernel entry. Parameters outside the support
+    of xi stay outside the support of the result.
     """
     if xi.params != m.parameters:
         raise DomainError("belief is not over this model's parameters")
     j, k = _check_step(m, x, u)
     l = m.state_index(x_next)
-    un = xi.weights * m.kernel[:, j, k, l]
+    with np.errstate(invalid="ignore"):  # 0 * inf is a NaN weight, which Belief rejects
+        un = xi.weights * m.kernel[:, j, k, l]
     if not un.any():
         raise _zero_probability(x, u, x_next)
     return Belief(m.parameters, un)
@@ -64,7 +66,11 @@ def predictive_next_state(m: ModelSpec, xi: Belief, x: str, u: str) -> np.ndarra
 
 def _likelihoods(m: ModelSpec, history: Sequence[str], actions: Sequence[str]) -> np.ndarray:
     """Check the history; return its path_likelihood under every parameter,
-    each a left-to-right product of kernel entries from 1."""
+    each a left-to-right product of kernel entries from 1.
+
+    On an invalid kernel the product may overflow to inf or be 0 * inf =
+    NaN, so callers form it under an np.errstate that ignores both.
+    """
     if len(history) < 1:
         raise DomainError("history must contain at least the current state")
     if len(actions) != len(history) - 1:
@@ -85,7 +91,8 @@ def path_likelihood(m: ModelSpec, theta: str, history: Sequence[str], actions: S
 
     A history of length one has likelihood 1.
     """
-    return float(_likelihoods(m, history, actions)[m.param_index(theta)])
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(_likelihoods(m, history, actions)[m.param_index(theta)])
 
 
 def posterior_from_history(m: ModelSpec, history: Sequence[str], actions: Sequence[str]) -> Belief:
@@ -94,7 +101,8 @@ def posterior_from_history(m: ModelSpec, history: Sequence[str], actions: Sequen
     Proportional to prior(theta) times the path likelihood. Agrees with
     folding bayes_update over the transitions.
     """
-    un = m.prior.weights * _likelihoods(m, history, actions)
+    with np.errstate(over="ignore", invalid="ignore"):  # an inf or NaN weight, which Belief rejects
+        un = m.prior.weights * _likelihoods(m, history, actions)
     if not un.any():
         raise ZeroProbabilityObservation("history has zero probability under the prior")
     return Belief(m.parameters, un)
@@ -231,8 +239,10 @@ def build_reachable_belief_graph(m: ModelSpec, node_cap: int = DEFAULT_NODE_CAP)
         if t == m.horizon:
             break
 
-        # un[r, k, l, i] = weights[r, i] * kernel[i, xs[r], k, l]
-        un = weights[:, None, None, :] * m.kernel[:, xs].transpose(1, 2, 3, 0)
+        # un[r, k, l, i] = weights[r, i] * kernel[i, xs[r], k, l]; a zero
+        # weight times an infinite entry is a NaN weight, which the normalizer rejects.
+        with np.errstate(invalid="ignore"):
+            un = weights[:, None, None, :] * m.kernel[:, xs].transpose(1, 2, 3, 0)
         live = m.admissible[t - 1, xs][:, :, None] & un.any(axis=3)
         post = _normalize_rows(un[live])
         src, act, nxt = np.nonzero(live)

@@ -127,11 +127,13 @@ def _row_sums(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     a negative or non-finite entry, and sums[i] is the sum of row i, 0.0
     for a bad row. Only rows that pass the check are summed, so no NaN or
     infinite entry raises a RuntimeWarning, and each sum is the float of
-    summing that row on its own.
+    summing that row on its own. A finite row may still sum to inf, which
+    callers judge as a sum.
     """
     rows = np.ascontiguousarray(rows, dtype=float)
     bad = np.any(rows < 0, axis=1) | ~np.all(np.isfinite(rows), axis=1)
-    return rows, bad, np.where(bad[:, None], 0.0, rows).sum(axis=1)
+    with np.errstate(over="ignore"):
+        return rows, bad, np.where(bad[:, None], 0.0, rows).sum(axis=1)
 
 
 def _normalize_rows_each(rows: np.ndarray) -> tuple[np.ndarray, dict[int, DomainError]]:

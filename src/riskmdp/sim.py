@@ -6,7 +6,9 @@ of execution order. Next states are drawn by inverse CDF over the declared
 state order. Because no run depends on another, all runs advance together,
 one time step at a time, as arrays over runs; runs that share a history are
 advanced as one. Each distinct history carries its trajectory record, which
-its children extend.
+its children extend. The CSV and the summary, too, are formatted once per
+distinct history, that is once per distinct Trajectory object, and then
+laid out per run.
 """
 
 from __future__ import annotations
@@ -91,8 +93,10 @@ def simulate_runs(
     horizon, params, states, actions = m.horizon, m.parameters, m.states, m.actions
     draws = _run_uniforms(seed, runs, horizon)
     # A state is drawn as the number of CDF entries <= u, which is
-    # searchsorted(cdf, u, side="right").
-    cdf = np.cumsum(m.kernel[i_star], axis=-1)
+    # searchsorted(cdf, u, side="right"). An invalid kernel row, such as
+    # [inf, -inf], may make NaN entries; the posterior's weight check rejects it.
+    with np.errstate(invalid="ignore"):
+        cdf = np.cumsum(m.kernel[i_star], axis=-1)
     cdf[..., -1] = 1.0
 
     # The distinct histories at time t: each one's states, its steps so far
@@ -117,7 +121,8 @@ def simulate_runs(
 
         nxt, at = np.unique(at * len(states) + y, return_inverse=True)
         parent, y = np.divmod(nxt, len(states))
-        un = weights[parent] * m.kernel[:, x[parent], k[parent], y].T
+        with np.errstate(invalid="ignore"):  # 0 * inf is a NaN weight, which the check rejects
+            un = weights[parent] * m.kernel[:, x[parent], k[parent], y].T
         post, bad_rows = _normalize_rows_each(un)
         zero = (~un.any(axis=1)).tolist()
         errors = [_zero_probability(states[x[p]], actions[k[p]], states[l]) if zero[i] else bad_rows.get(i)
@@ -147,22 +152,35 @@ def simulate_runs(
     return [trajectories[d] for d in at.tolist()]
 
 
+def _distinct(trajectories: Sequence[Trajectory]) -> tuple[list[Trajectory], list[int]]:
+    """The distinct trajectory objects, in order of first run, and each run's index into them."""
+    index: dict[int, int] = {}
+    at = [index.setdefault(id(tr), len(index)) for tr in trajectories]
+    return list({id(tr): tr for tr in trajectories}.values()), at
+
+
 def summarize(trajectories: Sequence[Trajectory], theta_star: str) -> dict:
     """Per-stage means of realized cost and of the posterior mass on theta_star,
-    plus the mean and standard deviation of the total realized cost."""
+    plus the mean and standard deviation of the total realized cost.
+
+    Each value is read once per distinct trajectory object and gathered by
+    run, so numpy reduces the same per-run arrays as reading every run would.
+    """
     if not trajectories:
         raise DomainError("summarize needs at least one trajectory")
+    uniq, at = _distinct(trajectories)
+    at = np.array(at, dtype=np.intp)
     horizon = len(trajectories[0].actions)
     per_t = []
     for t in range(1, horizon + 1):
-        costs = np.array([tr.true_costs[t - 1] for tr in trajectories])
-        mass = np.array([tr.beliefs[t - 1].mass(theta_star) for tr in trajectories])
+        costs = np.array([tr.true_costs[t - 1] for tr in uniq])[at]
+        mass = np.array([tr.beliefs[t - 1].mass(theta_star) for tr in uniq])[at]
         per_t.append({
             "t": t,
             "mean_true_cost": float(costs.mean()),
             "mean_posterior_theta_star": float(mass.mean()),
         })
-    totals = np.array([tr.total_true_cost for tr in trajectories])
+    totals = np.array([tr.total_true_cost for tr in uniq])[at]
     return {
         "theta_star": theta_star,
         "runs": len(trajectories),
@@ -172,18 +190,43 @@ def summarize(trajectories: Sequence[Trajectory], theta_star: str) -> dict:
     }
 
 
-def trajectories_to_csv(trajectories: Sequence[Trajectory], m: ModelSpec) -> str:
-    """One row per (run, t): run, t, state, action, true_cost, then belief columns."""
+def _csv_line(fields: Sequence) -> str:
+    """One row as csv.writer writes it, ending in a newline."""
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["run", "t", "state", "action", "true_cost"]
-                    + [f"belief_{p}" for p in m.parameters])
-    for r, tr in enumerate(trajectories):
-        for t in range(1, len(tr.actions) + 1):
-            writer.writerow(
-                [r, t, tr.states[t - 1], tr.actions[t - 1], repr(tr.true_costs[t - 1])]
-                + [repr(float(w)) for w in tr.beliefs[t - 1].weights])
+    csv.writer(buf, lineterminator="\n").writerow(fields)
     return buf.getvalue()
+
+
+def trajectories_to_csv(trajectories: Sequence[Trajectory], m: ModelSpec) -> str:
+    """One row per (run, t): run, t, state, action, true_cost, then belief columns.
+
+    Each distinct trajectory object's rows are formatted once, without the
+    run column, and each run's rows are its run index joined across them.
+    A label is written as csv.writer writes it, so the quoting is the
+    writer's; floats are written by repr, which never needs quoting.
+    """
+    cells: dict = {}
+
+    def cell(label) -> str:
+        """A comma, then the label as csv.writer writes it after another field."""
+        if label not in cells:
+            cells[label] = _csv_line(("", label))[:-1]
+        return cells[label]
+
+    def tails(tr: Trajectory) -> list[str]:
+        """tr's rows, each without its run column."""
+        return [f",{t}{cell(tr.states[t - 1])}{cell(tr.actions[t - 1])},"
+                + ",".join([repr(tr.true_costs[t - 1]), *map(repr, tr.beliefs[t - 1].weights.tolist())]) + "\n"
+                for t in range(1, len(tr.actions) + 1)]
+
+    uniq, at = _distinct(trajectories)
+    rows = [tails(tr) for tr in uniq]
+    out = [_csv_line(["run", "t", "state", "action", "true_cost"] + [f"belief_{p}" for p in m.parameters])]
+    for r, d in enumerate(at):
+        if rows[d]:
+            run = str(r)
+            out.append(run + run.join(rows[d]))
+    return "".join(out)
 
 
 def summary_to_json(summary: dict) -> str:

@@ -45,6 +45,15 @@ def with_s0_a0_rows(m: ModelSpec, rows) -> ModelSpec:
     return dataclasses.replace(m, kernel=kernel)
 
 
+def zero_weight_meets_inf(m: ModelSpec) -> ModelSpec:
+    """The sample model m with a prior point mass on th2 and (th1, s0, a0) = [inf, 1].
+
+    Observing s0 -> s0 under a0 weighs th1 by 0 * inf, a NaN weight.
+    """
+    return dataclasses.replace(with_s0_a0_rows(m, ([np.inf, 1.0], [0.7, 0.3])),
+                               prior=Belief.point_mass(m.parameters, "th2"))
+
+
 def absorbing_variant(sample_model: ModelSpec) -> ModelSpec:
     """Sample model with s0 absorbing under a1 for every parameter."""
     kernel = np.array(sample_model.kernel)
@@ -116,6 +125,26 @@ class TestBayesUpdate:
             bayes_update(m, m.prior, "s0", "a0", y)
         with pytest.raises(DomainError, match=f"^{BAD_WEIGHTS}$"):
             posterior_from_history(m, ("s0", y), ("a0",))
+
+    def test_zero_weight_times_infinite_entry(self, sample_model):
+        # 0 * inf must reach the weight check as a NaN weight, without a
+        # RuntimeWarning (pytest turns one into an error).
+        m = zero_weight_meets_inf(sample_model)
+        with pytest.raises(DomainError, match=f"^{BAD_WEIGHTS}$"):
+            bayes_update(m, m.prior, "s0", "a0", "s0")
+        with pytest.raises(DomainError, match=f"^{BAD_WEIGHTS}$"):
+            posterior_from_history(m, ("s0", "s0"), ("a0",))
+
+    @pytest.mark.parametrize("row, lik", [pytest.param([np.inf, 0.0], "nan", id="inf_times_zero"),
+                                          pytest.param([1e308, 1e308], "inf", id="overflow")])
+    def test_path_likelihood_of_invalid_kernel(self, sample_model, row, lik):
+        # The product along s0 -> s0 -> s1 is inf * 0 or 1e308 * 1e308 under
+        # th1; it is kept as is, and the posterior rejects it as a weight.
+        m = with_s0_a0_rows(sample_model, (row, [0.7, 0.3]))
+        history, actions = ("s0", "s0", "s1"), ("a0", "a0")
+        assert repr(path_likelihood(m, "th1", history, actions)) == lik
+        with pytest.raises(DomainError, match=f"^{BAD_WEIGHTS}$"):
+            posterior_from_history(m, history, actions)
 
     def test_support_never_grows(self, sample_model):
         xi = Belief(sample_model.parameters, np.array([0.0, 1.0]))
@@ -343,6 +372,10 @@ class TestGraph:
         # its mass is NaN or negative, rather than prune it.
         with pytest.raises(DomainError, match=f"^{BAD_WEIGHTS}$"):
             build_reachable_belief_graph(with_s0_a0_rows(sample_model, rows))
+
+    def test_zero_weight_times_infinite_entry(self, sample_model):
+        with pytest.raises(DomainError, match=f"^{BAD_WEIGHTS}$"):
+            build_reachable_belief_graph(zero_weight_meets_inf(sample_model))
 
     def test_rows_with_bad_weights_are_reported_without_warning(self):
         # pytest turns a RuntimeWarning, such as inf + -inf in a row sum, into an error.

@@ -223,6 +223,12 @@ class TestValidationErrors:
         with pytest.raises(ValidationError, match="sums to"):
             parse_model(text)
 
+    def test_kernel_row_sum_overflows(self):
+        # The row is finite, so it is summed; the sum's overflow must not warn.
+        text = self.broken(lambda d: d["kernel"]["th1"]["s0"]["a0"].update({"s0": 1e308, "s1": 1e308}))
+        with pytest.raises(ValidationError, match=r"\(th1, s0, a0\) sums to inf$"):
+            parse_model(text)
+
     def test_negative_kernel_entry(self):
         text = self.broken(lambda d: d["kernel"]["th1"]["s0"]["a0"].update({"s0": -0.1, "s1": 1.1}))
         with pytest.raises(ValidationError, match="kernel row not stochastic"):

@@ -3,11 +3,17 @@
 The reference is the rollout the vectorised one replaced: one generator,
 one policy step, one inverse-CDF draw and one Bayes update per run and
 step, with runs rolled one after another. Given a quasi-Markov policy, the
-reference rolls its unfolded history policy. CSV and summary bytes, and the
-error raised when runs fail, must be the same.
+reference rolls its unfolded history policy. Its CSV and summary are
+written by the reference writers, which format every run's rows and read
+every run's values, where the library formats each distinct trajectory
+object once. CSV and summary bytes, and the error raised when runs fail,
+must be the same.
 """
 
+import copy
+import csv
 import dataclasses
+import io
 import json
 from typing import Sequence
 
@@ -38,7 +44,7 @@ from riskmdp.engine import _policy_step
 from riskmdp.sim import Trajectory, _run_uniforms
 
 from conftest import DATA, random_instance, random_policy
-from test_belief import BAD_KERNEL_ROWS, INF_PAIR, with_s0_a0_rows
+from test_belief import BAD_KERNEL_ROWS, INF_PAIR, with_s0_a0_rows, zero_weight_meets_inf
 
 
 def _run_generator(seed: int, run: int) -> np.random.Generator:
@@ -84,23 +90,74 @@ def reference_simulate_runs(m, pol: HistoryPolicy, theta_star: str, runs: int, s
     return out
 
 
-def outcome(m, simulate, pol, theta_star, runs, seed):
-    """CSV and summary bytes of a rollout, or the type and message of its error."""
+def reference_summarize(trajectories: Sequence[Trajectory], theta_star: str) -> dict:
+    """Per-stage means of realized cost and of the posterior mass on theta_star,
+    plus the mean and standard deviation of the total realized cost."""
+    if not trajectories:
+        raise DomainError("summarize needs at least one trajectory")
+    horizon = len(trajectories[0].actions)
+    per_t = []
+    for t in range(1, horizon + 1):
+        costs = np.array([tr.true_costs[t - 1] for tr in trajectories])
+        mass = np.array([tr.beliefs[t - 1].mass(theta_star) for tr in trajectories])
+        per_t.append({
+            "t": t,
+            "mean_true_cost": float(costs.mean()),
+            "mean_posterior_theta_star": float(mass.mean()),
+        })
+    totals = np.array([tr.total_true_cost for tr in trajectories])
+    return {
+        "theta_star": theta_star,
+        "runs": len(trajectories),
+        "per_t": per_t,
+        "total_mean": float(totals.mean()),
+        "total_std": float(totals.std(ddof=0)),
+    }
+
+
+def reference_trajectories_to_csv(trajectories: Sequence[Trajectory], m: ModelSpec) -> str:
+    """One row per (run, t): run, t, state, action, true_cost, then belief columns."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["run", "t", "state", "action", "true_cost"]
+                    + [f"belief_{p}" for p in m.parameters])
+    for r, tr in enumerate(trajectories):
+        for t in range(1, len(tr.actions) + 1):
+            writer.writerow(
+                [r, t, tr.states[t - 1], tr.actions[t - 1], repr(tr.true_costs[t - 1])]
+                + [repr(float(w)) for w in tr.beliefs[t - 1].weights])
+    return buf.getvalue()
+
+
+# A rollout and the writers of its CSV and summary.
+REFERENCE = (reference_simulate_runs, reference_trajectories_to_csv, reference_summarize)
+CURRENT = (simulate_runs, trajectories_to_csv, summarize)
+
+
+def written(writers, trajs, m, theta_star):
+    """The CSV and summary bytes that writers (a REFERENCE or CURRENT triple) make of trajs."""
+    _, to_csv, summary = writers
+    return to_csv(trajs, m), summary_to_json(summary(trajs, theta_star))
+
+
+def outcome(m, side, pol, theta_star, runs, seed):
+    """CSV and summary bytes of side's rollout, written by side's writers,
+    or the type and message of its error."""
     try:
-        trajs = simulate(m, pol, theta_star, runs, seed)
+        trajs = side[0](m, pol, theta_star, runs, seed)
     except (DomainError, ZeroProbabilityObservation) as e:
         return type(e), str(e)
-    return trajectories_to_csv(trajs, m), summary_to_json(summarize(trajs, theta_star))
+    return written(side, trajs, m, theta_star)
 
 
 def assert_matches_reference(m, pol, runs, seed):
     """Both policy kinds, when pol is quasi-Markov, under every theta*."""
     unfolded = to_history_policy(pol, m) if not isinstance(pol, HistoryPolicy) else pol
     for theta in m.parameters:
-        want = outcome(m, reference_simulate_runs, unfolded, theta, runs, seed)
-        assert outcome(m, simulate_runs, unfolded, theta, runs, seed) == want
+        want = outcome(m, REFERENCE, unfolded, theta, runs, seed)
+        assert outcome(m, CURRENT, unfolded, theta, runs, seed) == want
         if pol is not unfolded:
-            assert outcome(m, simulate_runs, pol, theta, runs, seed) == want
+            assert outcome(m, CURRENT, pol, theta, runs, seed) == want
 
 
 def solved(m):
@@ -157,6 +214,59 @@ def test_one_draw_call_equals_sequential_draws():
             assert batched[r].tobytes() == one.tobytes()
 
 
+# Writers
+
+# Labels the CSV must quote (a comma, a quote, a line break) or must not
+# (spaces, a tab, non-ASCII, the empty label).
+LABELS = ("s0", "a,b", 'say "hi"', "two\nlines", "cr\rhere", "crlf\r\nx", " spaced ", "tab\tx", "dosé", "θ★", "", "'")
+# Signed zeros, the least subnormal, and a cost whose sums overflow.
+COSTS = (0.0, -0.0, 5e-324, 1e308, 0.25, 1 / 3, 2.0)
+PARAMS = ("th,1", 'th"2', "θ 3")
+
+
+def fuzzed_trajectories(rng: np.random.Generator, horizon: int, n: int) -> list[Trajectory]:
+    """n caller-built trajectories over PARAMS, each its own object."""
+    def label() -> str:
+        return LABELS[rng.integers(len(LABELS))]
+
+    def belief() -> Belief:
+        if rng.random() < 0.2:  # a point mass that keeps a -0.0 weight
+            return Belief(PARAMS, rng.permutation([1.0, -0.0, 0.0]))
+        return Belief(PARAMS, rng.dirichlet(np.ones(len(PARAMS))))
+
+    out = []
+    for _ in range(n):
+        costs = tuple(float(COSTS[i]) for i in rng.integers(len(COSTS), size=horizon))
+        out.append(Trajectory(states=tuple(label() for _ in range(horizon + 1)),
+                              actions=tuple(label() for _ in range(horizon)),
+                              beliefs=tuple(belief() for _ in range(horizon)),
+                              true_costs=costs, total_true_cost=float(sum(costs))))
+    return out
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_writers_match_reference(seed):
+    # The library formats and reads each distinct trajectory object once;
+    # the bytes must be those of formatting and reading every run. Means
+    # over 1e308 costs overflow the same way on both sides.
+    rng = np.random.default_rng(seed)
+    m = dataclasses.replace(random_instance(0, n_params=3), parameters=PARAMS, prior=Belief.uniform(PARAMS))
+    horizon = int(rng.integers(0, 5))
+    shared = fuzzed_trajectories(rng, horizon, int(rng.integers(1, 6)))
+    runs = int(rng.integers(2, 60))
+    cases = {
+        "shared objects": [shared[i] for i in rng.integers(len(shared), size=runs)],
+        "distinct objects": fuzzed_trajectories(rng, horizon, runs),
+        "one run": shared[:1],
+    }
+    cases["equal copies"] = [copy.copy(tr) if rng.random() < 0.5 else tr for tr in cases["shared objects"]]
+    theta_star = PARAMS[rng.integers(len(PARAMS))]
+    for name, trajs in cases.items():
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = written(REFERENCE, trajs, m, theta_star)
+            assert written(CURRENT, trajs, m, theta_star) == want, name
+
+
 # Error parity
 
 
@@ -176,8 +286,8 @@ def test_theta_star_outside_prior_support(sample_model):
     pol = HistoryPolicy({("s0",): "a0", ("s0", "s0"): "a0", ("s0", "s1"): "a0"})
     want = (ZeroProbabilityObservation,
             "observation (s0, a0) -> s1 has zero probability under the current belief")
-    assert outcome(m, reference_simulate_runs, pol, "th2", 20, 0) == want
-    assert outcome(m, simulate_runs, pol, "th2", 20, 0) == want
+    assert outcome(m, REFERENCE, pol, "th2", 20, 0) == want
+    assert outcome(m, CURRENT, pol, "th2", 20, 0) == want
     assert_matches_reference(m, solved(m), runs=20, seed=0)
 
 
@@ -192,10 +302,24 @@ def test_invalid_kernel_entry(sample_model, rows, theta_star):
     pol = HistoryPolicy({("s0",): "a0", ("s0", "s0"): "a0", ("s0", "s1"): "a0"})
     seen = set()
     for seed in range(10):
-        want = outcome(m, reference_simulate_runs, pol, theta_star, 10, seed)
-        assert outcome(m, simulate_runs, pol, theta_star, 10, seed) == want
+        want = outcome(m, REFERENCE, pol, theta_star, 10, seed)
+        assert outcome(m, CURRENT, pol, theta_star, 10, seed) == want
         seen.add(want[:2])
     assert (DomainError, "belief weights must be finite and nonnegative") in seen
+
+
+@pytest.mark.parametrize("model, theta_star", [
+    pytest.param(lambda m: with_s0_a0_rows(m, ([np.inf, -np.inf], [0.7, 0.3])), "th1", id="nan_cdf"),
+    pytest.param(zero_weight_meets_inf, "th2", id="zero_weight_times_inf"),
+])
+def test_invalid_kernel_entry_without_warning(sample_model, model, theta_star):
+    # theta*'s draw CDF [inf, nan] and the posterior weight 0 * inf are NaN;
+    # the weight check must reject the posterior before any RuntimeWarning
+    # (which pytest turns into an error).
+    m = model(sample_model)
+    with pytest.raises(DomainError, match="^belief weights must be finite and nonnegative$"):
+        simulate_runs(m, HistoryPolicy({("s0",): "a0", ("s0", "s0"): "a0", ("s0", "s1"): "a0"}),
+                      theta_star, runs=10, seed=0)
 
 
 def test_lowest_failing_run_is_reported(sample_model):
@@ -214,8 +338,8 @@ def test_lowest_failing_run_is_reported(sample_model):
             u = _run_generator(seed, r).random(2)
             fates.append(1 if u[0] >= 0.7 else 2 if u[1] >= 0.5 else None)
         failing = [f for f in fates if f is not None]
-        want = outcome(m, reference_simulate_runs, pol, "th2", runs, seed)
-        assert outcome(m, simulate_runs, pol, "th2", runs, seed) == want
+        want = outcome(m, REFERENCE, pol, "th2", runs, seed)
+        assert outcome(m, CURRENT, pol, "th2", runs, seed) == want
         if failing:
             assert want == (ZeroProbabilityObservation, messages[failing[0]])
             later_run_failed_earlier += failing[0] == 2 and 1 in failing
@@ -231,9 +355,9 @@ def test_inadmissible_action_in_quasi_markov_table(sample_model):
     doc = policy_to_json(solve_dp(m, make_entropic(1.0), graph)[1])
     doc["table"] = {node_id: "a0" for node_id in doc["table"]}
     pol = parse_policy(doc, m, graph)
-    want = outcome(m, reference_simulate_runs, to_history_policy(pol, m), "th1", 10, 0)
+    want = outcome(m, REFERENCE, to_history_policy(pol, m), "th1", 10, 0)
     assert want == (DomainError, "policy action 'a0' not admissible at (t=2, s1)")
-    assert outcome(m, simulate_runs, pol, "th1", 10, 0) == want
+    assert outcome(m, CURRENT, pol, "th1", 10, 0) == want
 
 
 def test_missing_quasi_markov_decision(sample_model):
@@ -243,7 +367,7 @@ def test_missing_quasi_markov_decision(sample_model):
     del doc["table"][child.id]
     pol = parse_policy(doc, sample_model, graph)
     want = (DomainError, f"policy has no decision for belief node {child.id!r}")
-    assert outcome(sample_model, simulate_runs, pol, "th1", 10, 0) == want
+    assert outcome(sample_model, CURRENT, pol, "th1", 10, 0) == want
     with pytest.raises(DomainError, match="policy has no decision for belief node"):
         to_history_policy(pol, sample_model)
 
@@ -269,9 +393,9 @@ def test_normalization_failure():
     later_run_failed_earlier = 0
     for seed in range(100):
         to_s1 = [_run_generator(seed, r).random() >= kernel[1, 0, 0, 0] for r in range(10)]
-        want = outcome(m, reference_simulate_runs, pol, "th1", 10, seed)
+        want = outcome(m, REFERENCE, pol, "th1", 10, seed)
         assert want == errors[to_s1[0]]
-        assert outcome(m, simulate_runs, pol, "th1", 10, seed) == want
+        assert outcome(m, CURRENT, pol, "th1", 10, seed) == want
         later_run_failed_earlier += not to_s1[0] and any(to_s1)
     assert later_run_failed_earlier >= 2
 
