@@ -16,14 +16,19 @@ outputs to check that a change keeps the bytes:
     PYTHONPATH=src python scripts/output_digests.py --set full > after.txt
 
 Sets:
-  small  the sample model, dose-finding at horizons 3 and 5, and
-         random_instance seeds 0-9 (13 models);
+  small  the sample model, dose-finding and its sparse variant at horizons 3
+         and 5, and random_instance seeds 0-9 (15 models);
   full   the sample model; dose-finding doses (1,2,3,4) x thetas (1,2,3) at
-         horizons 5, 7, 9 and 11; doses and thetas (1,..,5) at horizons 3, 4
+         horizons 5, 7, 9 and 11; its sparse variant at horizons 5, 7 and 9;
+         doses and thetas (1,..,5) at horizons 3, 4
          and 5; 40 certification-shape instances (2 states, 2 actions,
          3 parameters, horizon 3) for each of the draw seeds 1, 2 and 5;
          random_instance seeds 0-59; and 20 instances of 3 states, 3 actions,
-         4 parameters and horizon 4 (208 models).
+         4 parameters and horizon 4 (211 models).
+
+The sparse variant never responds to a dose below theta and always to one
+at theta + 2 or above, so observations rule parameters out and the graph
+build prunes moves at every level.
 """
 
 from __future__ import annotations
@@ -55,11 +60,15 @@ from riskmdp import (
     trajectories_to_csv,
     value_table_to_json,
 )
-from riskmdp.model import random_instance
+from riskmdp.model import logistic_response, random_instance
 
 SAMPLE = Path(__file__).resolve().parent.parent / "tests" / "data" / "sample_model.json"
 CERTIFY_SHAPE = dict(n_states=2, n_actions=2, n_params=3, horizon=3, allow_restricted=False)
 KAPPAS = (1e-3, 1.0, 5.0)
+
+
+def sparse_response(theta: float, dose: float) -> float:
+    return 0.0 if dose < theta else (1.0 if dose >= theta + 2 else logistic_response(theta, dose))
 
 
 def models(name: str) -> Iterator[tuple[str, object]]:
@@ -70,11 +79,15 @@ def models(name: str) -> Iterator[tuple[str, object]]:
     if name == "small":
         for T in (3, 5):
             yield f"dose4x3-T{T}", lambda T=T: gen_clinical_trials_model(*dose, horizon=T)
+        for T in (3, 5):
+            yield f"dose-sparse-T{T}", lambda T=T: gen_clinical_trials_model(*dose, horizon=T, response=sparse_response)
         for s in range(10):
             yield f"random-{s}", lambda s=s: random_instance(s)
         return
     for T in (5, 7, 9, 11):
         yield f"dose4x3-T{T}", lambda T=T: gen_clinical_trials_model(*dose, horizon=T)
+    for T in (5, 7, 9):
+        yield f"dose-sparse-T{T}", lambda T=T: gen_clinical_trials_model(*dose, horizon=T, response=sparse_response)
     for T in (3, 4, 5):
         yield f"dose5x5-T{T}", lambda T=T: gen_clinical_trials_model(*five, horizon=T)
     for draw in (1, 2, 5):

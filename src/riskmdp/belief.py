@@ -13,7 +13,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .errors import CapExceeded, DomainError, ZeroProbabilityObservation
-from .model import Belief, ModelSpec, _normalize_rows
+from .model import Belief, ModelSpec, _normalize_rows_each
 
 DEDUP_DECIMALS = 10
 # A positive coordinate prints as zero at DEDUP_DECIMALS digits exactly when
@@ -54,6 +54,22 @@ def _zero_probability(x: str, u: str, x_next: str) -> ZeroProbabilityObservation
     """The error for observing (x, u) -> x_next where the belief gives it probability zero."""
     return ZeroProbabilityObservation(
         f"observation ({x}, {u}) -> {x_next} has zero probability under the current belief")
+
+
+def _bayes_rows(m: ModelSpec, weights: np.ndarray, xs: np.ndarray, ks: np.ndarray,
+                ys: np.ndarray) -> tuple[np.ndarray, np.ndarray, dict[int, DomainError]]:
+    """Bayes update of belief row r on observing (xs[r], ks[r]) -> ys[r], for every row at once.
+
+    Returns (post, zero, errors): the posterior rows as Belief would normalize
+    them, the mask of rows whose observation has probability zero (every
+    unnormalized weight is ±0.0), and {row: the DomainError Belief raises}
+    for the other rows. Rows in zero or errors come back unnormalized.
+    """
+    with np.errstate(invalid="ignore"):  # 0 * inf is a NaN weight, which the weight check rejects
+        un = weights * m.kernel[:, xs, ks, ys].T
+    zero = ~un.any(axis=1)
+    post, errors = _normalize_rows_each(un)
+    return post, zero, {i: e for i, e in errors.items() if not zero[i]}
 
 
 def predictive_next_state(m: ModelSpec, xi: Belief, x: str, u: str) -> np.ndarray:
@@ -211,15 +227,13 @@ class BeliefGraph:
 def build_reachable_belief_graph(m: ModelSpec, node_cap: int = DEFAULT_NODE_CAP) -> BeliefGraph:
     """Breadth-first enumeration of reachable (t, state, belief) nodes, a level at a time.
 
-    For the N nodes of a level, every child posterior is formed at once as
-    an (N, n_actions, n_states, n_params) array. Inadmissible moves and
-    transitions with zero predictive probability are pruned, so Bayes
-    updates never divide by zero. A transition has probability zero exactly
-    when every unnormalized weight is ±0.0, and weights are checked first:
-    the other rows are normalized exactly, row by row, and a negative or
-    non-finite weight raises DomainError. Children are deduplicated by
-    their rounded fingerprint and created in (parent, action, next state)
-    order, so the first child to reach a fingerprint supplies its belief.
+    For the nodes of a level, the child posterior of every admissible
+    (row, action, next state) is formed in one _bayes_rows call.
+    Transitions with zero predictive probability are pruned, so Bayes
+    updates never divide by zero; of the other rows, the first that Belief
+    would reject raises its DomainError. Children are deduplicated by their
+    rounded fingerprint and created in (parent, action, next state) order,
+    so the first child to reach a fingerprint supplies its belief.
     Raises CapExceeded when a level would take the node count past
     node_cap.
     """
@@ -239,13 +253,13 @@ def build_reachable_belief_graph(m: ModelSpec, node_cap: int = DEFAULT_NODE_CAP)
         if t == m.horizon:
             break
 
-        # un[r, k, l, i] = weights[r, i] * kernel[i, xs[r], k, l]; a zero
-        # weight times an infinite entry is a NaN weight, which the normalizer rejects.
-        with np.errstate(invalid="ignore"):
-            un = weights[:, None, None, :] * m.kernel[:, xs].transpose(1, 2, 3, 0)
-        live = m.admissible[t - 1, xs][:, :, None] & un.any(axis=3)
-        post = _normalize_rows(un[live])
-        src, act, nxt = np.nonzero(live)
+        # Every admissible (row, action, next state), in that order.
+        src, act, nxt = np.nonzero(m.admissible[t - 1, xs][:, :, None].repeat(len(m.states), axis=2))
+        post, zero, errors = _bayes_rows(m, weights[src], xs[src], act, nxt)
+        if errors:
+            raise errors[min(errors)]
+        live = ~zero
+        src, act, nxt, post = src[live], act[live], nxt[live], post[live]
         # Key -> index of the new node, in order of first occurrence.
         index: dict[str, int] = {}
         local = [index.setdefault(key, len(index))

@@ -167,10 +167,16 @@ def make_expectation() -> CriterionSpec:
 
 
 def make_entropic(kappa: float) -> CriterionSpec:
-    """Entropic criterion at risk aversion kappa > 0, in certainty-equivalent scale."""
+    """Entropic criterion at risk aversion kappa > 0, in certainty-equivalent scale.
+
+    kappa must be a normal float: at a subnormal kappa, kappa * (v - vmax)
+    keeps only a few significant bits, and dividing by kappa magnifies that
+    rounding (at 5e-324 the map returns the maximum, not the mean).
+    """
     # The comparison is exact, so it also rejects an int beyond float range.
-    if isinstance(kappa, bool) or not (isinstance(kappa, (int, float)) and 0 < kappa <= sys.float_info.max):
-        raise DomainError(f"entropic criterion requires kappa > 0, got {kappa!r}")
+    if isinstance(kappa, bool) or not (isinstance(kappa, (int, float))
+                                       and sys.float_info.min <= kappa <= sys.float_info.max):
+        raise DomainError(f"entropic criterion requires a normal float kappa > 0, got {kappa!r}")
     ce = _CertaintyEquivalent(float(kappa))
     return CriterionSpec(
         kind="entropic",

@@ -21,10 +21,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .belief import _zero_probability
+from .belief import _bayes_rows, _zero_probability
 from .engine import HistoryPolicy, QuasiMarkovPolicy, _policy_step, to_history_policy
 from .errors import DomainError, RiskMdpError
-from .model import Belief, ModelSpec, _normalize_rows_each
+from .model import Belief, ModelSpec
 
 
 @dataclass(frozen=True)
@@ -121,12 +121,9 @@ def simulate_runs(
 
         nxt, at = np.unique(at * len(states) + y, return_inverse=True)
         parent, y = np.divmod(nxt, len(states))
-        with np.errstate(invalid="ignore"):  # 0 * inf is a NaN weight, which the check rejects
-            un = weights[parent] * m.kernel[:, x[parent], k[parent], y].T
-        post, bad_rows = _normalize_rows_each(un)
-        zero = (~un.any(axis=1)).tolist()
-        errors = [_zero_probability(states[x[p]], actions[k[p]], states[l]) if zero[i] else bad_rows.get(i)
-                  for i, (p, l) in enumerate(zip(parent.tolist(), y.tolist()))]
+        post, zero, bad_rows = _bayes_rows(m, weights[parent], x[parent], k[parent], y)
+        errors = [_zero_probability(states[x[p]], actions[k[p]], states[l]) if z else bad_rows.get(i)
+                  for i, (p, l, z) in enumerate(zip(parent.tolist(), y.tolist(), zero.tolist()))]
         f = _first_failing_run([e is not None for e in errors], at)
         if f is not None:
             n, error = f, errors[at[f]]

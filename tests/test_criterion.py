@@ -1,6 +1,7 @@
 """Risk map values, the four axioms, custom maps, and JSON parsing."""
 
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -105,10 +106,19 @@ class TestEntropic:
 
     def test_invalid_kappa(self):
         # A bool is not a number, and an int beyond float range is a
-        # DomainError rather than math.isfinite's OverflowError.
-        for bad in (0.0, -1.0, math.nan, math.inf, "1", True, 2**1100):
+        # DomainError rather than math.isfinite's OverflowError. A subnormal
+        # kappa maps (1, 2, 3) under (.2, .3, .5) to 3.0 at 5e-324.
+        for bad in (0.0, -1.0, math.nan, math.inf, "1", True, 2**1100, 5e-324, 1e-310):
             with pytest.raises(DomainError, match="kappa > 0"):
                 make_entropic(bad)
+
+    def test_smallest_normal_kappa(self, sample_model):
+        # The sample model's expectation root is 0.9; at kappa 5e-324 it was 1.0.
+        crit = make_entropic(sys.float_info.min)
+        assert crit.rho_hat.evaluate(np.array([1.0, 2.0, 3.0]), np.array([0.2, 0.3, 0.5])) == 2.3
+        assert check_axioms(crit).passed
+        table, _ = solve_dp(sample_model, crit, build_reachable_belief_graph(sample_model))
+        assert table.root_value == pytest.approx(0.9, abs=1e-15)
 
     def test_zero_mass_coordinates_ignored_exactly(self):
         crit = make_entropic(1.0)

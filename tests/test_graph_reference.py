@@ -20,7 +20,7 @@ from riskmdp import (
     predictive_next_state,
 )
 
-from conftest import DATA, random_instance
+from conftest import DATA, random_instance, sparse_response
 from test_belief import absorbing_variant
 from test_engine import tiny_mass_model
 
@@ -135,9 +135,13 @@ def test_tiny_mass_keeps_supports_apart():
                    "t=3|x=s3|xi=1.0000000000,0.0000000000|supp=11"]
 
 
-@pytest.mark.parametrize("horizon", [3, 4, 5, 6, 7])
-def test_dose_finding(horizon):
-    assert_matches_reference(gen_clinical_trials_model(doses=(1, 2, 3, 4), theta_grid=(1, 2, 3), horizon=horizon))
+@pytest.mark.parametrize("response, horizon",
+                         [pytest.param(None, T, id=str(T)) for T in (3, 4, 5, 6, 7)]
+                         + [pytest.param(sparse_response, T, id=f"sparse-{T}") for T in (3, 5, 7)])
+def test_dose_finding(response, horizon):
+    # sparse_response prunes moves at every level; the logistic default prunes none.
+    assert_matches_reference(gen_clinical_trials_model(doses=(1, 2, 3, 4), theta_grid=(1, 2, 3), horizon=horizon,
+                                                       response=response))
 
 
 @pytest.mark.parametrize("seed", range(20))

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from riskmdp import DomainError, build_reachable_belief_graph, gen_clinical_trials_model
+from riskmdp import Belief, DomainError, build_reachable_belief_graph, gen_clinical_trials_model
 from riskmdp import model
 from riskmdp.model import _WALK_STEPS, _normalize_exact, _normalize_rows, _normalize_rows_each, _ulp_steps
 
@@ -179,3 +179,13 @@ def test_build_still_raises_the_known_defect():
     m = gen_clinical_trials_model(doses=(1, 2, 3, 4), theta_grid=(1, 2, 3, 4, 5), horizon=5)
     with pytest.raises(DomainError, match="normalization did not converge"):
         build_reachable_belief_graph(m)
+
+
+def test_belief_still_raises_the_known_defect():
+    # A vector the Belief normalization property test in test_model.py once
+    # found. The fix for ROADMAP item 2 flips this test with the one above;
+    # it then expects a Belief whose weights sum to exactly 1.0.
+    vals = np.array([16.759219088400844, 44.02485322923059, 0.35, 1e-09])
+    assert reference_outcome(vals) == "normalization did not converge"
+    with pytest.raises(DomainError, match="normalization did not converge"):
+        Belief(("p0", "p1", "p2", "p3"), vals)

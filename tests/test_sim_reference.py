@@ -43,7 +43,7 @@ from riskmdp import (
 from riskmdp.engine import _policy_step
 from riskmdp.sim import Trajectory, _run_uniforms
 
-from conftest import DATA, random_instance, random_policy
+from conftest import DATA, random_instance, random_policy, sparse_response
 from test_belief import BAD_KERNEL_ROWS, INF_PAIR, with_s0_a0_rows, zero_weight_meets_inf
 
 
@@ -181,11 +181,14 @@ def test_negative_zero_kernel_entry():
     assert_matches_reference(m, solved(m), runs=50, seed=0)
 
 
-@pytest.mark.parametrize("horizon", [3, 4, 5, 6])
-def test_dose_finding(horizon):
+@pytest.mark.parametrize("response, horizon",
+                         [pytest.param(None, T, id=str(T)) for T in (3, 4, 5, 6)]
+                         + [pytest.param(sparse_response, T, id=f"sparse-{T}") for T in (3, 5, 7)])
+def test_dose_finding(response, horizon):
     # Many beliefs merge into one node here, so the trace must be each run's
-    # own incremental posterior, not the node's stored weights.
-    m = gen_clinical_trials_model(doses=(1, 2, 3, 4), theta_grid=(1, 2, 3), horizon=horizon)
+    # own incremental posterior, not the node's stored weights. Under
+    # sparse_response, runs rule parameters out, leaving zero weights in the trace.
+    m = gen_clinical_trials_model(doses=(1, 2, 3, 4), theta_grid=(1, 2, 3), horizon=horizon, response=response)
     assert_matches_reference(m, solved(m), runs=200, seed=horizon)
 
 
