@@ -145,6 +145,43 @@ def belief_fingerprint(t: int, state: str, weights: np.ndarray) -> str:
     return next(_fingerprints(t, [state], np.asarray(weights, dtype=float)[None, :]))
 
 
+def _group_children(nxt: np.ndarray, post: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Group the child rows of one level by node: row r goes to next state
+    nxt[r] with belief post[r], whose coordinates lie in [0, 1].
+
+    Returns (group, firsts): group[r] numbers row r's node in order of first
+    occurrence, and firsts[g] is the first row of node g, so firsts is
+    ascending. Two rows share a node exactly when _fingerprints gives them
+    equal keys, but no key is formatted: rows are compared as the integer
+    tuples (next state, n_1..n_P, support), where n_i is coordinate i as the
+    integer that "%.10f" prints (without its point) and the support is the
+    mask of positive coordinates.
+
+    n_i is np.rint(w * 1e10). The factor is exact and 0 <= w <= 1, so the
+    float product lies within 2**-53 * 1e10 < 1.2e-6 of the exact one,
+    while "%.10f" prints the exact product correctly rounded. So where the
+    product's fractional part is at least 1e-5 away from 0.5, no half-integer
+    lies between the two and rint gives the printed integer; the coordinates
+    within that band take it from the printed digits instead. The support
+    stands for the "|supp=" suffix: a row without the suffix has no positive
+    coordinate that prints as zero, so its support is where its digits are
+    nonzero, and a row has the suffix exactly when some positive coordinate
+    has zero digits. At a fixed time the printed key and the integer tuple
+    thus determine each other, so the partition, its order and every id are
+    the fingerprints'.
+    """
+    scaled = post * 10.0 ** DEDUP_DECIMALS
+    n = np.rint(scaled)
+    near_half = np.abs(scaled - n) > 0.5 - 1e-5  # rint leaves at most 0.5
+    if np.count_nonzero(near_half):
+        n[near_half] = [int(f"{w:.{DEDUP_DECIMALS}f}".replace(".", "")) for w in post[near_half].tolist()]
+    keys = np.concatenate([nxt[:, None], n, post > 0.0], axis=1).astype(np.int64)  # -0.0 -> 0
+    rows = keys.view(np.dtype((np.void, keys.itemsize * keys.shape[1]))).ravel()
+    _, first, inverse = np.unique(rows, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    return np.argsort(order)[inverse], first[order]
+
+
 @dataclass(frozen=True, eq=False)
 class BeliefNode:
     """One reachable (time, state, belief) triple, built from the graph's arrays on request."""
@@ -232,8 +269,10 @@ def build_reachable_belief_graph(m: ModelSpec, node_cap: int = DEFAULT_NODE_CAP)
     Transitions with zero predictive probability are pruned, so Bayes
     updates never divide by zero; of the other rows, the first that Belief
     would reject raises its DomainError. Children are deduplicated by their
-    rounded fingerprint and created in (parent, action, next state) order,
-    so the first child to reach a fingerprint supplies its belief.
+    rounded fingerprint, compared as integer keys (_group_children), and
+    created in (parent, action, next state) order, so the first child to
+    reach a fingerprint supplies its belief; only that child's fingerprint is
+    formatted, as the node's id.
     Raises CapExceeded when a level would take the node count past
     node_cap.
     """
@@ -260,20 +299,16 @@ def build_reachable_belief_graph(m: ModelSpec, node_cap: int = DEFAULT_NODE_CAP)
             raise errors[min(errors)]
         live = ~zero
         src, act, nxt, post = src[live], act[live], nxt[live], post[live]
-        # Key -> index of the new node, in order of first occurrence.
-        index: dict[str, int] = {}
-        local = [index.setdefault(key, len(index))
-                 for key in _fingerprints(t + 1, (m.states[y] for y in nxt.tolist()), post)]
+        group, firsts = _group_children(nxt, post)
         base = len(ids)
-        if base + len(index) > node_cap:
+        if base + len(firsts) > node_cap:
             raise CapExceeded(f"belief graph would exceed node cap {node_cap}")
-        _, firsts = np.unique(local, return_index=True)
-        children[src, act, nxt] = base + np.array(local)
+        children[src, act, nxt] = base + group
 
         xs = nxt[firsts]
         weights = post[firsts]
         weights.setflags(write=False)
-        ids.extend(index)
+        ids.extend(_fingerprints(t + 1, (m.states[y] for y in xs.tolist()), weights))
 
     return BeliefGraph(model=m, ids=tuple(ids), levels=tuple(levels))
 

@@ -112,8 +112,10 @@ class _CertaintyEquivalent:
 
     Computed as vmax + log1p(s) / kappa with s = sum w_i expm1(kappa (v_i - vmax)).
     The shift by vmax keeps every exponent <= 0, so large kappa cannot
-    overflow; expm1/log1p keep the O(kappa) terms that exp/log round away, so
-    at small kappa the result stays above the mean, by about kappa * Var / 2.
+    overflow exp; at kappa > 1, kappa (v_i - vmax) itself may overflow to
+    -inf, where expm1 gives -1 and exp gives 0, as in the limit.
+    expm1/log1p keep the O(kappa) terms that exp/log round away, so at small
+    kappa the result stays above the mean, by about kappa * Var / 2.
     When s < -1/2, 1 + s cancels, and log sum w_i exp(kappa (v_i - vmax)) is
     the accurate form instead. A vector with no atom of positive weight has
     no certainty equivalent and raises DomainError.
@@ -136,7 +138,12 @@ class _CertaintyEquivalent:
         if not len(v):
             raise DomainError(_NO_MASS)
         vmax = float(v.max())
-        z = self.kappa * (v - vmax)
+        d = v - vmax
+        if self.kappa <= 1.0:  # |kappa * d| <= |d|; errstate would cost more than the map on few atoms
+            z = self.kappa * d
+        else:
+            with np.errstate(over="ignore"):
+                z = self.kappa * d
         s = _fold(w * np.expm1(z))
         log_mean_exp = math.log1p(s) if s >= -0.5 else math.log(_fold(w * np.exp(z)))
         return vmax + log_mean_exp / self.kappa
@@ -148,10 +155,12 @@ class _CertaintyEquivalent:
         w = np.where(live, weights, 0.0)
         vmax = np.where(live, values, -np.inf).max(axis=1)
         # Dead atoms sit at vmax, so their z is 0 and nothing below overflows.
-        z = self.kappa * (np.where(live, values, vmax[:, None]) - vmax[:, None])
+        d = np.where(live, values, vmax[:, None]) - vmax[:, None]
+        with np.errstate(over="ignore"):
+            z = self.kappa * d
         s = _fold_rows(w * np.expm1(z))
         low = ~(s >= -0.5)
-        log_mean_exp = np.array([math.log1p(x) for x in np.where(low, 0.0, s).tolist()])
+        log_mean_exp = np.fromiter(map(math.log1p, np.where(low, 0.0, s).tolist()), float, len(s))
         if low.any():
             log_mean_exp[low] = [math.log(x) for x in _fold_rows(w[low] * np.exp(z[low])).tolist()]
         return vmax + log_mean_exp / self.kappa

@@ -443,18 +443,22 @@ def brute_force_optimum(
 
 
 def value_table_to_json(table: ValueTable, pol: QuasiMarkovPolicy) -> dict:
+    missing = np.flatnonzero(pol.actions < 0)
+    if len(missing):
+        pol.action(int(missing[0]))  # raises for the first node without a decision
+    labels = pol.graph.model.actions
     nodes = _node_docs(pol.graph)
-    for o, (doc, value) in enumerate(zip(nodes, table.values.tolist())):
+    for doc, value, k in zip(nodes, table.values.tolist(), pol.actions.tolist()):
         doc["value"] = value
-        doc["argmin_action"] = pol.action(o)
+        doc["argmin_action"] = labels[k]
     return {"root_value": table.root_value, "criterion": table.criterion.describe(), "nodes": nodes}
 
 
 def policy_to_json(pol: HistoryPolicy | QuasiMarkovPolicy) -> dict:
     if isinstance(pol, QuasiMarkovPolicy):
-        ids, labels = pol.graph.ids, pol.graph.model.actions
-        table = sorted((ids[o], labels[k]) for o, k in enumerate(pol.actions.tolist()) if k >= 0)
-        return {"type": "quasi_markov", "table": dict(table)}
+        ids, labels, actions = pol.graph.ids, pol.graph.model.actions, pol.actions.tolist()
+        decided = sorted((o for o, k in enumerate(actions) if k >= 0), key=ids.__getitem__)
+        return {"type": "quasi_markov", "table": {ids[o]: labels[actions[o]] for o in decided}}
     decisions = [
         {"t": len(h), "history": list(h), "action": u}
         for h, u in sorted(pol.decisions.items(), key=lambda kv: (len(kv[0]), kv[0]))

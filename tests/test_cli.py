@@ -302,3 +302,12 @@ def test_module_entry_point():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["valid"] is True
+
+
+def test_entropic_kappa_at_float_max_solves_without_warning():
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "riskmdp", "solve", "--model", MODEL,
+         "--criterion", '{"type": "entropic", "kappa": 1e308}'],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["root_value"] == 1.5

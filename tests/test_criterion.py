@@ -2,6 +2,7 @@
 
 import math
 import sys
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -227,6 +228,18 @@ class TestEntropic:
         vals, w = np.array([0.0, 1.0]), np.array([1 - 2.0**-20, 2.0**-20])
         want = 1.0 + math.log(w[0] * math.exp(-20.0) + w[1]) / 20.0
         assert abs(make_entropic(20.0).sigma.evaluate(vals, w) - want) <= 4 * np.spacing(1.0)
+
+    def test_kappa_at_float_max_does_not_overflow(self):
+        # kappa * (0 - 5) is -inf: expm1 gives -1, so s = -1/2 and the map
+        # returns 5 + log1p(-1/2) / kappa, which rounds to 5.
+        ev = make_entropic(sys.float_info.max).sigma.evaluate
+        vals, w = np.array([0.0, 5.0]), np.array([0.5, 0.5])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = ev(vals, w)
+            rows = ev.rows(vals[None, :], w[None, :])
+        assert got == 5.0
+        assert rows.tobytes() == np.array([got]).tobytes()
 
 
 @st.composite

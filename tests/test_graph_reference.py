@@ -2,10 +2,14 @@
 
 The reference is the builder the level-batched one replaced: one
 predictive, one Bayes update and one normalized Belief per edge, interned
-by an f-string fingerprint. The two must agree bit for bit.
+by an f-string fingerprint. The two must agree bit for bit. The builder's
+integer-key grouping is also checked against the string-key dedup loop it
+replaced, on whole graphs and on rows made to sit at rounding edges.
 """
 
+import importlib.util
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,7 +22,10 @@ from riskmdp import (
     graph_to_json,
     parse_model,
     predictive_next_state,
+    serialize_model,
 )
+from riskmdp import belief
+from riskmdp.belief import HIDDEN_MASS, _fingerprints, _group_children
 
 from conftest import DATA, random_instance, sparse_response
 from test_belief import absorbing_variant
@@ -147,3 +154,109 @@ def test_dose_finding(response, horizon):
 @pytest.mark.parametrize("seed", range(20))
 def test_random_instance(seed):
     assert_matches_reference(random_instance(seed, allow_restricted=True))
+
+
+def string_key_groups(nxt, post):
+    """The string-key dedup loop that _group_children replaced, as it stood in
+    the builder; returns (group, firsts, the distinct keys in order).
+
+    The builder passed the level's time and state labels. At one time the
+    labels are distinct, so a fixed time and the state indices as labels
+    give the same partition and order.
+    """
+    # Key -> index of the new node, in order of first occurrence.
+    index: dict[str, int] = {}
+    local = [index.setdefault(key, len(index))
+             for key in _fingerprints(2, (str(y) for y in nxt.tolist()), post)]
+    _, firsts = np.unique(local, return_index=True)
+    return np.array(local, dtype=int), firsts, list(index)
+
+
+def assert_groups_match(nxt, post):
+    group, firsts = _group_children(nxt, post)
+    want_group, want_firsts, want_ids = string_key_groups(nxt, post)
+    assert group.tolist() == want_group.tolist()
+    assert firsts.tolist() == want_firsts.tolist()
+    assert list(_fingerprints(2, [str(y) for y in nxt[firsts].tolist()], post[firsts])) == want_ids
+
+
+@pytest.mark.parametrize("make", [
+    *[pytest.param(lambda T=T: gen_clinical_trials_model((1, 2, 3, 4), (1, 2, 3), horizon=T), id=f"dose-{T}")
+      for T in range(3, 10)],
+    *[pytest.param(lambda T=T: gen_clinical_trials_model((1, 2, 3, 4), (1, 2, 3), horizon=T,
+                                                         response=sparse_response), id=f"sparse-{T}")
+      for T in (3, 5, 7, 9)],
+    # At this grid 32 child rows sit in the band where keys take the printed digits.
+    pytest.param(lambda: gen_clinical_trials_model((1, 2, 3, 4), tuple(np.linspace(1, 3, 17)), horizon=9),
+                 id="dose-P17-9"),
+    pytest.param(tiny_mass_model, id="tiny-mass"),
+    *[pytest.param(lambda s=s: random_instance(s, allow_restricted=True), id=f"random-{s}") for s in range(20)],
+])
+def test_integer_keys_build_the_string_key_graph(make, monkeypatch):
+    m = make()
+    g = build_reachable_belief_graph(m)
+    with monkeypatch.context() as patch:
+        patch.setattr(belief, "_group_children", lambda nxt, post: string_key_groups(nxt, post)[:2])
+        want = build_reachable_belief_graph(m)
+    assert g.ids == want.ids
+    for a, b in zip(g.levels, want.levels, strict=True):
+        assert a.children.tobytes() == b.children.tobytes()
+        assert a.weights.tobytes() == b.weights.tobytes()
+
+
+def rounding_edge_rows():
+    """(next states, rows) with coordinates at the edges of the 10-digit keys.
+
+    Coordinates sit at (k + 1/2) * 1e-10 and at k * 1e-10, each 0 to 3 ulp
+    either way, so that many rows print alike while their floats differ;
+    others sit just below, at and above HIDDEN_MASS, or are -0.0, 0.0 and
+    1.0. Rows repeat, and some pairs differ only in the 10th digit.
+    """
+    rng = np.random.default_rng(20240)
+    ks = np.concatenate([rng.integers(0, 10**10, 40), rng.integers(0, 1000, 10), [0, 1, 9_999_999_999]])
+    centres = np.concatenate([(ks + 0.5) * 1e-10, ks * 1e-10, [HIDDEN_MASS]])
+    pool = np.concatenate([centres + j * np.spacing(centres) for j in range(-3, 4)])
+    pool = np.concatenate([pool[(pool >= 0.0) & (pool <= 1.0)], [-0.0, 0.0, 1.0]])
+    # Few centres per column, so that rows collide on their printed digits.
+    picks = rng.choice(len(pool), size=(3, 12))
+    post = np.stack([pool[rng.choice(picks[i], 3000)] for i in range(3)], axis=1)
+    tenth_digit = post[:200].copy()
+    tenth_digit[:, 1] = np.minimum(tenth_digit[:, 1] + 1e-10, 1.0)
+    hidden = [[1.0 - h, h, 0.0] for h in (np.nextafter(HIDDEN_MASS, 0.0), HIDDEN_MASS,
+                                           np.nextafter(HIDDEN_MASS, 1.0), 2e-12)]
+    hidden += [[1.0, 0.0, 0.0], [1.0, -0.0, 0.0], [1.0, 0.0, -0.0], [-0.0, 1.0, 0.0], [0.0, 1.0, 0.0]]
+    post = np.concatenate([post, tenth_digit, np.array(hidden * 3), post[::7]])
+    return rng.integers(0, 2, len(post)), post
+
+
+def test_integer_keys_group_rounding_edge_rows_as_strings():
+    nxt, post = rounding_edge_rows()
+    printed = np.array([[int(f"{w:.10f}".replace(".", "")) for w in row] for row in post.tolist()])
+    # The rows exercise both the rint path and the printed-digit fallback.
+    assert (np.rint(post * 1e10) != printed).any()
+    assert len(np.unique(printed, axis=0)) < len(np.unique(post, axis=0))
+    assert_groups_match(nxt, post)
+    for r in range(0, len(post), 500):  # and in small batches, as a small level would pass them
+        assert_groups_match(nxt[r:r + 3], post[r:r + 3])
+
+
+def load_output_digests():
+    path = Path(__file__).resolve().parent.parent / "scripts" / "output_digests.py"
+    spec = importlib.util.spec_from_file_location("output_digests", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_small_set_model_and_graph_bytes_are_pinned():
+    # The model and graph lines of `output_digests.py --set small`. Value and
+    # policy lines apply exp and log to many computed values, whose last bits
+    # may differ between C libraries, so they are compared between checkouts,
+    # not pinned. The dose kernels here take exp of a few small integers.
+    digests = load_output_digests()
+    got = []
+    for label, make in digests.models("small"):
+        m = make()
+        got.append(f"{label}\tmodel\t{digests.digest(serialize_model(m))}")
+        got.append(f"{label}\tgraph\t{digests.digest(graph_to_json(build_reachable_belief_graph(m)))}")
+    assert got == (DATA / "small_set_graph_digests.txt").read_text().splitlines()
