@@ -233,6 +233,8 @@ def check_axioms(crit: CriterionSpec, samples: int = DEFAULT_AXIOM_SAMPLES, seed
     """
     if samples < 1:
         raise DomainError(f"samples must be >= 1, got {samples}")
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise DomainError(f"seed must be a nonnegative integer, got {seed!r}")
     rng = np.random.default_rng(seed)
     violations: list[AxiomViolation] = []
 

@@ -1,14 +1,18 @@
 """Monte-Carlo rollout of a policy under a designated true parameter.
 
-Randomness comes from the Philox counter-based generator with one substream
-per run, keyed by (seed, run index), so runs are reproducible independently
-of execution order. Next states are drawn by inverse CDF over the declared
-state order. Because no run depends on another, all runs advance together,
-one time step at a time, as arrays over runs; runs that share a history are
-advanced as one. Each distinct history carries its trajectory record, which
-its children extend. The CSV and the summary, too, are formatted once per
-distinct history, that is once per distinct Trajectory object, and then
-laid out per run.
+Randomness comes from the Philox4x64-10 counter-based generator (Salmon,
+Moraes, Dror & Shaw, "Parallel random numbers: as easy as 1, 2, 3", SC 2011)
+with one substream per run, keyed by (seed, run index), so runs are
+reproducible independently of execution order. Because a block of the
+stream is a pure function of (key, counter), the draws of all runs are
+computed together by one uint64 array kernel, bit for bit the stream of
+numpy's `Philox(key=(seed, run))`. Next states are drawn by inverse CDF
+over the declared state order. Because no run depends on another, all runs
+advance together, one time step at a time, as arrays over runs; runs that
+share a history are advanced as one. Each distinct history carries its
+trajectory record, which its children extend. The CSV and the summary,
+too, are formatted once per distinct history, that is once per distinct
+Trajectory object, and then laid out per run.
 """
 
 from __future__ import annotations
@@ -36,21 +40,64 @@ class Trajectory:
     total_true_cost: float
 
 
+# Philox4x64-10 as numpy's Philox computes it: the round multipliers, the
+# key bumps (Weyl constants) and the uint64 operands of shifts and masks.
+# Every operand is a np.uint64, so numpy 1.x promotion keeps uint64, and
+# every wrapping product or sum is an array operation, which does not warn.
+_PHILOX_M = np.array([0xD2E7470EE14C6C93, 0xCA5A826395121157], dtype=np.uint64).reshape(2, 1, 1)
+_PHILOX_W = np.array([0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B], dtype=np.uint64).reshape(2, 1, 1)
+_PHILOX_ROUNDS = 10
+_LO32, _32, _11 = np.uint64(0xFFFFFFFF), np.uint64(32), np.uint64(11)
+# Runs drawn per kernel call, which bounds the kernel's temporaries.
+_CHUNK_RUNS = 8192
+
+
+def _mulhilo(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The high and low words of the 128-bit products a * b, built from 32-bit halves."""
+    a_lo, a_hi, b_lo, b_hi = a & _LO32, a >> _32, b & _LO32, b >> _32
+    t = a_hi * b_lo + ((a_lo * b_lo) >> _32)
+    u = a_lo * b_hi + (t & _LO32)
+    return a_hi * b_hi + (t >> _32) + (u >> _32), a * b
+
+
+def _philox_words(seed: int, first_run: int, runs: int, blocks: int) -> np.ndarray:
+    """Row i: the words of blocks 1..blocks of run first_run + i's stream, in order.
+
+    Block b is Philox4x64-10 of the counter (b, 0, 0, 0) under the key
+    (seed, run). The counter words are kept as their even (0, 2) and odd
+    (1, 3) pairs, each a (2, runs, blocks) array.
+    """
+    key = np.empty((2, runs, 1), dtype=np.uint64)
+    key[0] = np.uint64(seed)
+    key[1, :, 0] = np.arange(first_run, first_run + runs, dtype=np.uint64)
+    even = np.zeros((2, runs, blocks), dtype=np.uint64)
+    even[0] = np.arange(1, blocks + 1, dtype=np.uint64)
+    odd = np.zeros_like(even)
+    for i in range(_PHILOX_ROUNDS):
+        if i:
+            key += _PHILOX_W
+        hi, lo = _mulhilo(_PHILOX_M, even)
+        even, odd = hi[::-1] ^ odd ^ key, lo[::-1]
+    return np.stack((even[0], odd[0], even[1], odd[1]), axis=-1).reshape(runs, 4 * blocks)
+
+
 def _run_uniforms(seed: int, runs: int, horizon: int) -> np.ndarray:
     """Row r holds the first `horizon` doubles of the Philox stream keyed by (seed, r).
 
-    One generator is re-keyed for each run: a fresh state (zero counter,
-    empty buffer) under key (seed, r) yields the same stream as a new
-    Philox(key=(seed, r)), without the cost of constructing one per run.
+    The stream is that of numpy's Philox(key=(seed, r)), computed for all
+    runs at once, _CHUNK_RUNS runs at a time: Philox4x64-10 (Salmon et al.
+    2011) under the key (seed, r), block b = 1..ceil(horizon/4) at the
+    counter (b, 0, 0, 0), since numpy increments the counter before it fills
+    each buffer; ten rounds with multipliers 0xD2E7470EE14C6C93 and
+    0xCA5A826395121157 and key bumps 0x9E3779B97F4A7C15 and
+    0xBB67AE8584CAA73B. A block's four words are used in order, and each
+    word w becomes the double (w >> 11) * 2**-53, as Generator.random makes it.
     """
-    bits = np.random.Philox(key=np.array([seed, 0], dtype=np.uint64))
-    gen = np.random.Generator(bits)
-    fresh = bits.state
+    blocks = -(-horizon // 4)
     out = np.empty((runs, horizon))
-    for r in range(runs):
-        fresh["state"]["key"] = np.array([seed, r], dtype=np.uint64)
-        bits.state = fresh
-        out[r] = gen.random(horizon)
+    for r in range(0, runs, _CHUNK_RUNS):
+        n = min(_CHUNK_RUNS, runs - r)
+        out[r:r + n] = (_philox_words(seed, r, n, blocks)[:, :horizon] >> _11) * 2.0 ** -53
     return out
 
 
@@ -86,6 +133,8 @@ def simulate_runs(
     i_star = m.param_index(theta_star)
     if runs < 1:
         raise DomainError(f"runs must be >= 1, got {runs}")
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or not 0 <= int(seed) < 2**64:
+        raise DomainError(f"seed must be an integer in [0, 2**64), got {seed!r}")
     if m.prior.params != m.parameters:
         raise DomainError("belief is not over this model's parameters")
     if isinstance(pol, QuasiMarkovPolicy):

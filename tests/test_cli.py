@@ -222,6 +222,19 @@ class TestSimulate:
         assert run_cli(["simulate", "--model", MODEL, "--policy", polf,
                         "--theta-star", "th1", "--runs", "0"]) == 2
 
+    @pytest.mark.parametrize("seed", ["-1", str(2**64), "True"], ids=["negative", "2**64", "bool"])
+    def test_seed_out_of_range(self, seed, tmp_path, capsys):
+        polf = write_json(tmp_path / "pol.json", all_a0_policy_doc())
+        assert run_cli(["simulate", "--model", MODEL, "--policy", polf,
+                        "--theta-star", "th1", "--runs", "3", "--seed", seed]) == 2
+        assert capsys.readouterr().err.splitlines()[-1].startswith("usage error: ")
+
+    def test_largest_seed(self, tmp_path, capsys):
+        polf = write_json(tmp_path / "pol.json", all_a0_policy_doc())
+        assert run_cli(["simulate", "--model", MODEL, "--policy", polf,
+                        "--theta-star", "th1", "--runs", "3", "--seed", str(2**64 - 1)]) == 0
+        assert json.loads(capsys.readouterr().out)["runs"] == 3
+
     def test_theta_star_outside_prior_support(self, tmp_path, capsys, sample_model):
         m = ruled_out_model(sample_model)
         model_f = tmp_path / "model.json"
@@ -283,6 +296,10 @@ class TestAxiomsAndBeliefs:
     def test_check_axioms_bad_samples(self, capsys):
         assert run_cli(["check-axioms", "--criterion", EXPECTATION,
                         "--samples", "0"]) == 2
+
+    def test_check_axioms_negative_seed(self, capsys):
+        assert run_cli(["check-axioms", "--criterion", EXPECTATION, "--seed", "-1"]) == 2
+        assert capsys.readouterr().err == "usage error: seed must be a nonnegative integer, got -1\n"
 
     def test_beliefs_export(self, capsys):
         assert run_cli(["beliefs", "--model", MODEL]) == 0

@@ -340,6 +340,13 @@ class TestAxiomCheck:
         with pytest.raises(DomainError):
             check_axioms(make_expectation(), samples=0)
 
+    @pytest.mark.parametrize("seed", [-1, True], ids=["negative", "bool"])
+    def test_seed_validated(self, seed):
+        with pytest.raises(DomainError, match="^seed must be a nonnegative integer, got "):
+            check_axioms(make_expectation(), samples=10, seed=seed)
+        with pytest.raises(DomainError, match="^seed must be a nonnegative integer, got "):
+            make_custom("mean", lambda v, w: 0.0, lambda v, w: 0.0, samples=10, seed=seed)
+
 
 class TestCustom:
     def test_valid_custom_registers(self, sample_model):

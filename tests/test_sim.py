@@ -90,6 +90,16 @@ class TestRolloutSemantics:
         with pytest.raises(DomainError):
             simulate_runs(sample_model, all_a0_policy(), "never", runs=1, seed=0)
 
+    @pytest.mark.parametrize("seed", [-1, 2**64, True, 1.0], ids=["negative", "2**64", "bool", "float"])
+    def test_seed_outside_the_philox_key_range(self, sample_model, seed):
+        # Each run's key is (seed, run) in uint64 words, so the seed must be an integer in [0, 2**64).
+        with pytest.raises(DomainError, match=r"^seed must be an integer in \[0, 2\*\*64\), got "):
+            simulate_runs(sample_model, all_a0_policy(), "th1", runs=3, seed=seed)
+
+    def test_largest_seed(self, sample_model):
+        for seed in (2**64 - 1, np.uint64(2**64 - 1)):
+            assert len(simulate_runs(sample_model, all_a0_policy(), "th1", runs=3, seed=seed)) == 3
+
 
 class TestFrequencies:
     def test_transition_frequency_three_sigma(self, sample_model):

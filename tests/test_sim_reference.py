@@ -1,4 +1,5 @@
-"""The run-vectorised rollout against the per-run reference loop.
+"""The run-vectorised rollout against the per-run reference loop, and the
+Philox array kernel against numpy's Philox.
 
 The reference is the rollout the vectorised one replaced: one generator,
 one policy step, one inverse-CDF draw and one Bayes update per run and
@@ -8,6 +9,9 @@ written by the reference writers, which format every run's rows and read
 every run's values, where the library formats each distinct trajectory
 object once. CSV and summary bytes, and the error raised when runs fail,
 must be the same.
+
+The kernel's reference is the draw loop it replaced, which re-keys one
+numpy Philox generator per run.
 """
 
 import copy
@@ -15,6 +19,7 @@ import csv
 import dataclasses
 import io
 import json
+import tracemalloc
 from typing import Sequence
 
 import numpy as np
@@ -41,7 +46,7 @@ from riskmdp import (
     trajectories_to_csv,
 )
 from riskmdp.engine import _policy_step
-from riskmdp.sim import Trajectory, _run_uniforms
+from riskmdp.sim import _CHUNK_RUNS, Trajectory, _run_uniforms
 
 from conftest import DATA, random_instance, random_policy, sparse_response
 from test_belief import BAD_KERNEL_ROWS, INF_PAIR, with_s0_a0_rows, zero_weight_meets_inf
@@ -205,6 +210,74 @@ def test_wide_random_instance(seed):
     m = random_instance(seed, n_states=6, n_actions=2, n_params=3, horizon=5)
     assert_matches_reference(m, random_policy(m, np.random.default_rng(seed)), runs=300, seed=seed)
     assert_matches_reference(m, solved(m), runs=300, seed=seed)
+
+
+# The Philox kernel
+
+
+def reference_run_uniforms(seed: int, runs: int, horizon: int) -> np.ndarray:
+    """Row r holds the first `horizon` doubles of the Philox stream keyed by (seed, r).
+
+    One generator is re-keyed for each run: a fresh state (zero counter,
+    empty buffer) under key (seed, r) yields the same stream as a new
+    Philox(key=(seed, r)), without the cost of constructing one per run.
+    """
+    bits = np.random.Philox(key=np.array([seed, 0], dtype=np.uint64))
+    gen = np.random.Generator(bits)
+    fresh = bits.state
+    out = np.empty((runs, horizon))
+    for r in range(runs):
+        fresh["state"]["key"] = np.array([seed, r], dtype=np.uint64)
+        bits.state = fresh
+        out[r] = gen.random(horizon)
+    return out
+
+
+def fresh_run_uniforms(seed: int, runs: int, horizon: int) -> np.ndarray:
+    """The same rows, each drawn from a new Philox(key=(seed, r))."""
+    return np.array([_run_generator(seed, r).random(horizon) for r in range(runs)]).reshape(runs, horizon)
+
+
+# Key words at the edges of 32 and 64 bits, and drawn ones.
+KEY_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1] + [
+    int(s) for s in np.random.default_rng(2011).integers(0, 2**64 - 1, size=20, dtype=np.uint64, endpoint=True)]
+# Horizons 0-13 cross the 4-word block edges at 4, 8 and 12.
+HORIZONS = range(14)
+
+
+@pytest.mark.parametrize("seed", KEY_SEEDS)
+def test_kernel_matches_numpy_philox(seed):
+    for runs in (1, 7):
+        full = fresh_run_uniforms(seed, runs, HORIZONS[-1])
+        for horizon in HORIZONS:
+            got = _run_uniforms(seed, runs, horizon)
+            assert got.shape == (runs, horizon)
+            want = fresh_run_uniforms(seed, runs, horizon).tobytes()
+            assert got.tobytes() == want == reference_run_uniforms(seed, runs, horizon).tobytes()
+            assert full[:, :horizon].tobytes() == want
+
+
+@pytest.mark.parametrize("runs", [5000, 2 * _CHUNK_RUNS + 3], ids=["5000", "past-chunk"])
+@pytest.mark.parametrize("seed", [0, 2**32, 2**64 - 1, KEY_SEEDS[6]])
+def test_kernel_matches_numpy_philox_over_many_runs(seed, runs):
+    # Rows past the first chunk test each chunk's run offset. The shorter
+    # horizons are prefixes of the longest, as test_kernel_matches_numpy_philox checks.
+    full = reference_run_uniforms(seed, runs, HORIZONS[-1])
+    assert fresh_run_uniforms(seed, runs, HORIZONS[-1]).tobytes() == full.tobytes()
+    for horizon in HORIZONS:
+        assert _run_uniforms(seed, runs, horizon).tobytes() == full[:, :horizon].tobytes()
+
+
+def test_kernel_memory_is_bounded():
+    # Runs are drawn a chunk at a time, so the kernel's temporaries stay
+    # small next to its output.
+    tracemalloc.start()
+    try:
+        out = _run_uniforms(0, 200_000, 6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * out.nbytes
 
 
 def test_one_draw_call_equals_sequential_draws():
