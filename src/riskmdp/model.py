@@ -31,10 +31,43 @@ _BAD_WEIGHTS = "belief weights must be finite and nonnegative"
 _NONPOSITIVE_SUM = "cannot normalize a vector with nonpositive sum"
 _NOT_CONVERGED = "normalization did not converge"
 _WALK_STEPS = 64
-# Bound on the trial entries _walk holds at once, (_WALK_STEPS + 1) * m * m
-# per row of length m. Larger chunks raised the peak RSS of a dose-finding
-# T=9 solve by about 1 MiB and made it no faster.
+# Bound on the trial entries _walk holds at once, (_WALK_STEPS + 1) * m per
+# row of length m. At 1 << 17 a dose-finding build with 17 parameters at T=9
+# ran 12% faster, but a dose-finding T=9 solve and export with 3 parameters
+# peaked about 0.6 MiB higher.
 _WALK_ENTRIES = 1 << 15
+
+
+def _row_sum(cols: np.ndarray) -> np.ndarray:
+    """The row sums of a C-contiguous 2-D array, given its columns, with the bits of sum(axis=-1).
+
+    cols[j] is column j: cols is rows.T, or any array whose first axis runs
+    over the columns, and the rest of its shape is the shape of the sums.
+    The columns are added in numpy's order for one row of length n: a left
+    fold from +0.0 below 8; from 8 to 128, eight accumulators, accumulator i
+    taking columns i, i + 8, ..., combined as ((r0 + r1) + (r2 + r3)) +
+    ((r4 + r5) + (r6 + r7)), then the last n % 8 columns folded on; above
+    128, the sum of the first n2 columns plus the sum of the others, n2 being
+    n // 2 rounded down to a multiple of 8. numpy adds the result to +0.0,
+    which changes only a -0.0. Each step is one array add over all rows, so
+    a few columns cost a few adds, not a reduction.
+    """
+    n = len(cols)
+    if n < 8:
+        acc = np.zeros(cols.shape[1:])
+        for col in cols:
+            acc += col
+        return acc
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _row_sum(cols[:half]) + _row_sum(cols[half:])
+    r = list(cols[:8])
+    for i in range(8, n - n % 8, 8):
+        r = [a + b for a, b in zip(r, cols[i:i + 8])]
+    acc = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+    for col in cols[n - n % 8:]:
+        acc = acc + col
+    return acc + 0.0
 
 
 def _normalize_exact(vec: np.ndarray) -> np.ndarray:
@@ -74,40 +107,49 @@ def _walk(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     have different granularities, so usually one of them lands exactly.
 
     Returns the walked rows and a mask of the rows no coordinate lands,
-    which come back unchanged. All rows, coordinates and steps are tried at
-    once, which gives what trying them one after another gives: each
-    coordinate starts from the same folded row, and the computed sum is
-    monotone in the walked coordinate, so a walk succeeds exactly when one
-    of its values gives 1.0, and stops at the first. A walk that
-    overshoots 1.0 only oscillates around it. Each trial row is summed
-    over a contiguous last axis, which gives the same float as summing it
-    on its own.
+    which come back unchanged. The walk goes rank by rank: every pending
+    row tries its coordinate of that rank at all steps at once, and the
+    rows that land leave. That gives what walking one coordinate and one
+    step after another gives: each coordinate starts from the same folded
+    row, and the computed sum is monotone in the walked coordinate, so a
+    walk succeeds exactly when one of its values gives 1.0, and stops at
+    the first. A walk that overshoots 1.0 only oscillates around it. Each
+    trial sum is _row_sum of the trial row's columns, the float of summing
+    that row on its own. Rows are walked in chunks of at most
+    _WALK_ENTRIES // ((_WALK_STEPS + 1) * m), so the trial array holds at
+    most _WALK_ENTRIES entries.
     """
     rows = np.array(rows, dtype=float)
     n, m = rows.shape
-    chunk = max(1, _WALK_ENTRIES // ((_WALK_STEPS + 1) * m * m))
+    chunk = max(1, _WALK_ENTRIES // ((_WALK_STEPS + 1) * m))
     if n > chunk:
         parts = [_walk(rows[lo:lo + chunk]) for lo in range(0, n, chunk)]
         return np.concatenate([p[0] for p in parts]), np.concatenate([p[1] for p in parts])
-    # cand[i, c, k]: coordinate c of row i after k ulp steps.
-    cand = _ulp_steps(rows, 1.0 - rows.sum(axis=1) > 0.0)
-    # trial[i, c, k]: row i with coordinate c set to cand[i, c, k].
-    trial = np.broadcast_to(rows[:, None, None, :], (n, m, _WALK_STEPS + 1, m)).copy()
-    cols = np.arange(m)
-    trial[:, cols, :, cols] = cand.transpose(1, 0, 2)
-    hit = (trial.sum(axis=3) == 1.0) & (rows > 0.0)[:, :, None]
+    up = 1.0 - _row_sum(rows.T) > 0.0
     order = np.argsort(-rows, axis=1, kind="stable")
-    ranked = np.take_along_axis(hit.any(axis=2), order, axis=1)
-    done = np.flatnonzero(ranked.any(axis=1))
-    c = order[done, ranked[done].argmax(axis=1)]
-    rows[done, c] = cand[done, c, hit[done, c].argmax(axis=1)]
-    failed = np.ones(n, dtype=bool)
-    failed[done] = False
+    pending, failed = np.arange(n), np.ones(n, dtype=bool)
+    for rank in range(m):
+        c = order[pending, rank]
+        # Later ranks hold no larger coordinates, so a row whose coordinate
+        # here is zero has none left to walk.
+        positive = rows[pending, c] > 0.0
+        pending, c = pending[positive], c[positive]
+        if not pending.size:
+            break
+        # cand[i, k]: the coordinate after k ulp steps; trial[i, :, k]: the row with it.
+        cand = _ulp_steps(rows[pending, c], up[pending])
+        trial = np.repeat(rows[pending][:, :, None], _WALK_STEPS + 1, axis=2)
+        trial[np.arange(len(pending)), c] = cand
+        hit = _row_sum(trial.transpose(1, 0, 2)) == 1.0
+        done = hit.any(axis=1)
+        rows[pending[done], c[done]] = cand[done, hit[done].argmax(axis=1)]
+        failed[pending[done]] = False
+        pending = pending[~done]
     return rows, failed
 
 
-def _ulp_steps(rows: np.ndarray, up: np.ndarray) -> np.ndarray:
-    """[i, c, k]: rows[i, c] after k = 0.._WALK_STEPS calls of np.nextafter, upward where up[i].
+def _ulp_steps(x: np.ndarray, up: np.ndarray) -> np.ndarray:
+    """[i, k]: x[i] after k = 0.._WALK_STEPS calls of np.nextafter, upward where up[i].
 
     For a nonnegative float, k ulp steps up add k to its bits read as an
     integer and k steps down subtract k. Below +0.0 the steps go on through
@@ -115,8 +157,8 @@ def _ulp_steps(rows: np.ndarray, up: np.ndarray) -> np.ndarray:
     Entries with the sign bit set come out wrong; _walk uses only the
     candidates of positive coordinates.
     """
-    k = np.arange(_WALK_STEPS + 1) * np.where(up, 1, -1)[:, None, None]
-    bits = np.ascontiguousarray(rows, dtype=float).view(np.int64)[:, :, None] + k
+    k = np.arange(_WALK_STEPS + 1) * np.where(up, 1, -1)[:, None]
+    bits = np.ascontiguousarray(x, dtype=float).view(np.int64)[:, None] + k
     return np.where(bits >= 0, bits, np.iinfo(np.int64).min - bits).view(np.float64)
 
 
@@ -128,12 +170,14 @@ def _row_sums(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     for a bad row. Only rows that pass the check are summed, so no NaN or
     infinite entry raises a RuntimeWarning, and each sum is the float of
     summing that row on its own. A finite row may still sum to inf, which
-    callers judge as a sum.
+    callers judge as a sum. Both run a column at a time.
     """
     rows = np.ascontiguousarray(rows, dtype=float)
-    bad = np.any(rows < 0, axis=1) | ~np.all(np.isfinite(rows), axis=1)
+    ok = np.ones(len(rows), dtype=bool)
+    for col in ((rows >= 0.0) & (rows < np.inf)).T:  # False at a NaN
+        ok &= col
     with np.errstate(over="ignore"):
-        return rows, bad, np.where(bad[:, None], 0.0, rows).sum(axis=1)
+        return rows, ~ok, _row_sum(np.where(ok[:, None], rows, 0.0).T)
 
 
 def _normalize_rows_each(rows: np.ndarray) -> tuple[np.ndarray, dict[int, DomainError]]:
@@ -152,7 +196,9 @@ def _normalize_rows_each(rows: np.ndarray) -> tuple[np.ndarray, dict[int, Domain
     r = np.flatnonzero(ok)
     j = out.argmax(axis=1)
     for _ in range(4):
-        d = 1.0 - out[r].sum(axis=1)
+        if not r.size:
+            break
+        d = 1.0 - _row_sum(out[r].T)
         live = d != 0.0
         r, d = r[live], d[live]
         out[r, j[r]] += d

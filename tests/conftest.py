@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from riskmdp import CriterionSpec, HistoryPolicy, ModelSpec, make_custom, parse_model
+from riskmdp import Belief, CriterionSpec, HistoryPolicy, ModelSpec, make_custom, parse_model
 from riskmdp.model import logistic_response
 from riskmdp.model import random_instance  # noqa: F401  (re-exported)
 
@@ -37,6 +37,31 @@ def sparse_response(theta: float, dose: float) -> float:
     of them at horizon 5 and 470 at horizon 7.
     """
     return 0.0 if dose < theta else (1.0 if dose >= theta + 2 else logistic_response(theta, dose))
+
+
+def wealth_lattice(W: int, horizon: int) -> ModelSpec:
+    """A recombining wealth lattice on states w0..wW with stakes (0, 1, 2, 3).
+
+    With wealth x and stake s the next state is min(x + s, W) with
+    probability theta and max(x - s, 0) otherwise, for theta in (0.4, 0.5,
+    0.6) under a uniform prior; the stage cost is the expected loss
+    s (1 - theta), and the start is w(W // 2). Each kernel row has at most
+    two positive entries, so most (state, action, next state) moves are
+    zero under every parameter.
+    """
+    stakes, thetas = (0, 1, 2, 3), (0.4, 0.5, 0.6)
+    kernel = np.zeros((len(thetas), W + 1, len(stakes), W + 1))
+    cost = np.zeros((horizon, W + 1, len(stakes), len(thetas)))
+    for i, th in enumerate(thetas):
+        for x in range(W + 1):
+            for k, s in enumerate(stakes):
+                kernel[i, x, k, min(x + s, W)] += th
+                kernel[i, x, k, max(x - s, 0)] += 1.0 - th
+                cost[:, x, k, i] = s * (1.0 - th)
+    params = tuple(f"{th:g}" for th in thetas)
+    return ModelSpec(horizon=horizon, states=tuple(f"w{x}" for x in range(W + 1)),
+                     actions=tuple(f"s{s}" for s in stakes), parameters=params,
+                     prior=Belief.uniform(params), kernel=kernel, cost=cost, initial_state=f"w{W // 2}")
 
 
 def upper_semideviation(values, weights) -> float:

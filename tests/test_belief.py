@@ -21,10 +21,11 @@ from riskmdp import (
     posterior_from_history,
     predictive_next_state,
 )
+from riskmdp import belief, validate_model
 from riskmdp.belief import HIDDEN_MASS
 from riskmdp.model import _normalize_rows_each
 
-from conftest import random_instance, random_history
+from conftest import random_instance, random_history, wealth_lattice
 
 BAD_WEIGHTS = "belief weights must be finite and nonnegative"
 # Kernel rows that make posteriors with a negative or non-finite weight.
@@ -376,6 +377,25 @@ class TestGraph:
     def test_zero_weight_times_infinite_entry(self, sample_model):
         with pytest.raises(DomainError, match=f"^{BAD_WEIGHTS}$"):
             build_reachable_belief_graph(zero_weight_meets_inf(sample_model))
+
+    def test_structurally_zero_moves_are_not_normalized(self, monkeypatch):
+        # A move whose kernel entry is 0 under every parameter has an
+        # all-zero posterior row, which the build would only prune. On this
+        # lattice 10 of every 11 next states are such moves.
+        m = wealth_lattice(10, 5)
+        assert not [i for i in validate_model(m) if i.severity == "error"]
+        sent = []
+        normalize = belief._normalize_rows_each
+
+        def recording(rows):
+            sent.append(np.array(rows))
+            return normalize(rows)
+
+        monkeypatch.setattr(belief, "_normalize_rows_each", recording)
+        g = build_reachable_belief_graph(m)
+        rows = np.concatenate(sent)
+        assert (rows != 0.0).any(axis=1).all()
+        assert len(sent) == m.horizon - 1 and len(rows) == len(g.edges)
 
     def test_rows_with_bad_weights_are_reported_without_warning(self):
         # pytest turns a RuntimeWarning, such as inf + -inf in a row sum, into an error.

@@ -242,6 +242,19 @@ class TestEntropic:
         assert rows.tobytes() == np.array([got]).tobytes()
 
 
+    def test_values_spanning_the_float_range_do_not_warn(self):
+        # v - vmax overflows to -inf, where expm1 gives -1: the map returns
+        # 1e308 + log(1/2), which rounds to 1e308.
+        ev = make_entropic(1.0).sigma.evaluate
+        vals, w = np.array([-1e308, 1e308]), np.array([0.5, 0.5])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = ev(vals, w)
+            rows = ev.rows(vals[None, :], w[None, :])
+        assert got == 1e308
+        assert rows.tobytes() == np.array([got]).tobytes()
+
+
 @st.composite
 def map_rows(draw):
     """2-D (values, weights) rows: zero-mass atoms carry junk up to +-1e3,

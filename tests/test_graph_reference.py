@@ -156,6 +156,11 @@ def test_random_instance(seed):
     assert_matches_reference(random_instance(seed, allow_restricted=True))
 
 
+def index_labels(nxt):
+    """State labels for the indices in nxt: index y is labelled str(y)."""
+    return [str(y) for y in range(int(nxt.max()) + 1)]
+
+
 def string_key_groups(nxt, post):
     """The string-key dedup loop that _group_children replaced, as it stood in
     the builder; returns (group, firsts, the distinct keys in order).
@@ -166,8 +171,7 @@ def string_key_groups(nxt, post):
     """
     # Key -> index of the new node, in order of first occurrence.
     index: dict[str, int] = {}
-    local = [index.setdefault(key, len(index))
-             for key in _fingerprints(2, (str(y) for y in nxt.tolist()), post)]
+    local = [index.setdefault(key, len(index)) for key in _fingerprints(2, index_labels(nxt), nxt, post)]
     _, firsts = np.unique(local, return_index=True)
     return np.array(local, dtype=int), firsts, list(index)
 
@@ -177,7 +181,7 @@ def assert_groups_match(nxt, post):
     want_group, want_firsts, want_ids = string_key_groups(nxt, post)
     assert group.tolist() == want_group.tolist()
     assert firsts.tolist() == want_firsts.tolist()
-    assert list(_fingerprints(2, [str(y) for y in nxt[firsts].tolist()], post[firsts])) == want_ids
+    assert _fingerprints(2, index_labels(nxt), nxt[firsts], post[firsts]) == want_ids
 
 
 @pytest.mark.parametrize("make", [
@@ -238,6 +242,21 @@ def test_integer_keys_group_rounding_edge_rows_as_strings():
     assert_groups_match(nxt, post)
     for r in range(0, len(post), 500):  # and in small batches, as a small level would pass them
         assert_groups_match(nxt[r:r + 3], post[r:r + 3])
+
+
+def test_hash_collisions_fall_back_to_the_tuples(monkeypatch):
+    # With every row hashed alike, the check finds distinct tuples in one
+    # hash group, and the rows are grouped by the tuples themselves.
+    nxt, post = rounding_edge_rows()
+    m = gen_clinical_trials_model((1, 2, 3, 4), (1, 2, 3), horizon=7)
+    want = build_reachable_belief_graph(m)
+    assert len(nxt) > belief._HASHED_ROWS
+    monkeypatch.setattr(belief, "_key_hashes", lambda keys: np.zeros(len(keys), dtype=np.uint64))
+    assert_groups_match(nxt, post)
+    g = build_reachable_belief_graph(m)
+    assert g.ids == want.ids
+    for a, b in zip(g.levels, want.levels, strict=True):
+        assert a.children.tobytes() == b.children.tobytes()
 
 
 def load_output_digests():

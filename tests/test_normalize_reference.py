@@ -16,7 +16,8 @@ from hypothesis import strategies as st
 
 from riskmdp import Belief, DomainError, build_reachable_belief_graph, gen_clinical_trials_model
 from riskmdp import model
-from riskmdp.model import _WALK_STEPS, _normalize_exact, _normalize_rows, _normalize_rows_each, _ulp_steps
+from riskmdp.model import (_WALK_STEPS, _normalize_exact, _normalize_rows, _normalize_rows_each, _row_sum,
+                           _ulp_steps)
 
 
 def reference_normalize_exact(vec: np.ndarray) -> np.ndarray:
@@ -118,10 +119,11 @@ def test_property_normalize_exact_equals_reference(vals):
 
 
 def test_fuzz_matches_reference_bitwise(walked_rows):
-    # 3 000 rows of each length 2..9, 24 000 in all; lengths 8 and 9 take
-    # numpy's pairwise sum, which the walk's trial sums must reproduce.
+    # 3 000 rows of each length 2..9, 12, 17 and 33, 33 000 in all; from
+    # length 8 on numpy's sum is pairwise, which the walk's trial sums must
+    # reproduce, and the long rows walk many ranks.
     failing = 0
-    for length in range(2, 10):
+    for length in [*range(2, 10), 12, 17, 33]:
         a = fuzz_rows(0, 3000, length)
         want = [reference_outcome(r) for r in a]
         assert [outcome(_normalize_exact, r) for r in a] == want
@@ -132,9 +134,10 @@ def test_fuzz_matches_reference_bitwise(walked_rows):
         assert out[ok].tobytes() == b"".join(want[i] for i in ok)
         assert np.array_equal(np.delete(out, ok, axis=0), np.delete(a, ok, axis=0))
         failing += len(errors)
-    # The batched walks cover 474 rows (the one-row calls come from
-    # _normalize_exact), and 2 rows of length 7 fail.
-    assert sum(n for n in walked_rows if n > 1) >= 300 and failing >= 1
+    # The batched walk calls, chunks counted with the calls they split, take
+    # about 2 000 rows (the one-row calls come from _normalize_exact); 2 rows
+    # of length 7 and 1 of length 33 fail.
+    assert sum(n for n in walked_rows if n > 1) >= 1000 and failing >= 1
 
 
 def test_ulp_steps_equal_repeated_nextafter():
@@ -148,16 +151,54 @@ def test_ulp_steps_equal_repeated_nextafter():
     toward = np.array([[math.inf], [-math.inf]])
     for k in range(1, _WALK_STEPS + 1):
         want[..., k] = np.nextafter(want[..., k - 1], toward)
-    assert _ulp_steps(rows, up).tobytes() == want.tobytes()
+    got = _ulp_steps(rows.ravel(), up.repeat(len(x))).reshape(want.shape)
+    assert got.tobytes() == want.tobytes()
 
 
 def test_walk_in_chunks_matches_reference(monkeypatch, walked_rows):
     a = fuzz_rows(1, 3000, 6)
     want = [reference_outcome(r) for r in a]
     ok = [i for i, w in enumerate(want) if isinstance(w, bytes)]
-    monkeypatch.setattr(model, "_WALK_ENTRIES", 65 * 36 * 7)
+    monkeypatch.setattr(model, "_WALK_ENTRIES", (_WALK_STEPS + 1) * 6 * 7)  # 7 rows of length 6
     assert _normalize_rows(a[ok]).tobytes() == b"".join(want[i] for i in ok)
     assert max(walked_rows) > 7
+
+
+def mixed_rows(seed: int, count: int, width: int) -> np.ndarray:
+    """Rows of both signs whose magnitudes span the float range: -0.0, 0.0,
+    subnormals, normal floats from 1e-300 to 1e300, and entries near 1e308
+    whose sums overflow."""
+    rng = np.random.default_rng([seed, width])
+    a = rng.choice([-1.0, 1.0], (count, width)) * 10.0 ** rng.uniform(-300.0, 300.0, (count, width))
+    kind = rng.integers(0, 8, (count, width))
+    a[kind == 0] = -0.0
+    a[kind == 1] = 0.0
+    a[kind == 2] = rng.integers(1, 1000, np.count_nonzero(kind == 2)) * np.nextafter(0.0, 1.0)
+    huge = np.count_nonzero(kind == 3)
+    a[kind == 3] = rng.choice([-1.0, 1.0], huge) * rng.uniform(1e307, 1.7e308, huge)
+    all_negative_zero = rng.random(count) < 0.1
+    a[all_negative_zero] = -0.0
+    return a
+
+
+def assert_row_sum_equals_numpy(rows):
+    with np.errstate(over="ignore", invalid="ignore"):  # inf and inf - inf
+        want = rows.sum(axis=1)
+        got = _row_sum(rows.T)
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan)
+    assert got[~nan].tobytes() == want[~nan].tobytes()
+
+
+def test_row_sum_equals_numpy_sum_at_every_width():
+    for width in [*range(1, 301), 513, 1000, 1025]:
+        assert_row_sum_equals_numpy(mixed_rows(0, 6, width))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 300), st.integers(1, 4), st.integers(0, 2**32 - 1))
+def test_property_row_sum_equals_numpy_sum(width, count, seed):
+    assert_row_sum_equals_numpy(mixed_rows(seed, count, width))
 
 
 @pytest.mark.parametrize("rows, message", [
