@@ -154,6 +154,10 @@ _HASH_BASE = np.uint64(0x9E3779B97F4A7C15)
 # the sort: grouping 64 rows by hash took 19 µs against 17 µs by the tuples,
 # 128 rows 23 µs against 24 µs, and 1 024 rows 65 µs against 164 µs.
 _HASHED_ROWS = 128
+# Up to this many rows a dict over the tuples beats np.unique: 8 rows took
+# 10 µs against 21 µs, 32 rows 18 µs against 22 µs, and 64 rows 30 µs
+# against 27 µs.
+_DICT_ROWS = 32
 
 
 def _key_hashes(keys: np.ndarray) -> np.ndarray:
@@ -196,7 +200,9 @@ def _group_children(nxt: np.ndarray, post: np.ndarray) -> tuple[np.ndarray, np.n
     alike, so that grouping is exact when every row equals the first row of
     its hash group, which is checked. Smaller levels, and levels where two
     distinct tuples share a hash, are grouped by np.unique over the tuples
-    themselves. A level of one row takes neither.
+    themselves, and levels of at most _DICT_ROWS rows by a dict over them,
+    which numbers the nodes in order of first occurrence as it meets them.
+    A level of one row takes none of these.
     """
     if len(nxt) < 2:
         return np.zeros(len(nxt), dtype=np.intp), np.arange(len(nxt))
@@ -206,6 +212,15 @@ def _group_children(nxt: np.ndarray, post: np.ndarray) -> tuple[np.ndarray, np.n
     if np.count_nonzero(near_half):
         n[near_half] = [int(f"{w:.{DEDUP_DECIMALS}f}".replace(".", "")) for w in post[near_half].tolist()]
     keys = np.concatenate([nxt[:, None], n.astype(np.int64), post > 0.0], axis=1)  # -0.0 -> 0
+    if len(keys) <= _DICT_ROWS:
+        ids: dict = {}
+        group, firsts = [], []
+        for r, key in enumerate(map(tuple, keys.tolist())):
+            g = ids.setdefault(key, len(firsts))
+            if g == len(firsts):
+                firsts.append(r)
+            group.append(g)
+        return np.array(group, dtype=np.intp), np.array(firsts, dtype=np.intp)
     first = None
     if len(keys) > _HASHED_ROWS:
         _, first, inverse = np.unique(_key_hashes(keys), return_index=True, return_inverse=True)

@@ -62,20 +62,36 @@ class CriterionSpec:
         return out
 
 
-def _fold(terms: np.ndarray) -> float:
-    """Sum of a 1-D array, added left to right starting from +0.0.
+def _atoms(values, weights):
+    """The (weight, value) pairs of two vectors of one shape, as Python floats.
+
+    The maps' scalar calls do their arithmetic on these: a Python float
+    operation rounds as the numpy one on float64 does, but costs a fraction
+    of a numpy call on a few atoms, and overflows or meets inf * 0 without
+    a RuntimeWarning.
+    """
+    w = np.asarray(weights, dtype=float)
+    v = np.asarray(values, dtype=float)
+    if w.shape != v.shape:
+        raise IndexError(f"values of shape {v.shape} do not match weights of shape {w.shape}")
+    return zip(w.ravel().tolist(), v.ravel().tolist())
+
+
+def _dot(w: list[float], x: list[float]) -> float:
+    """sum_i w[i] * x[i], added left to right starting from +0.0.
 
     Sums are folded in a fixed order, not taken with np.dot, so that one
-    row gives the same bits however many rows are summed with it.
+    call gives the bits of the same row in a row form (_fold_rows).
     """
     acc = 0.0
-    for x in terms.tolist():
-        acc += x
+    for a, b in zip(w, x):
+        acc += a * b
     return acc
 
 
 def _fold_rows(terms: np.ndarray) -> np.ndarray:
-    """_fold of every row of a 2-D array, one column at a time.
+    """The sum of every row of a 2-D array, added left to right from +0.0
+    one column at a time, as _dot adds the terms of one call.
 
     A zero column leaves every sum's bits as they are (a sum that starts
     from +0.0 is never -0.0), so dead atoms may be zeroed instead of skipped.
@@ -89,16 +105,18 @@ def _fold_rows(terms: np.ndarray) -> np.ndarray:
 class _Mean:
     """Weighted mean over the atoms with positive weight.
 
-    Called with two vectors it gives one float; rows(values, weights) gives
-    the mean of every row of two 2-D arrays, equal bit for bit to one call
-    per row.
+    Called with two vectors it gives one float: the products of the live
+    atoms added left to right from +0.0, on Python floats (_atoms). rows(values,
+    weights) gives the mean of every row of two 2-D arrays, equal bit for
+    bit to one call per row.
     """
 
     def __call__(self, values: np.ndarray, weights: np.ndarray) -> float:
-        w = np.asarray(weights, dtype=float)
-        v = np.asarray(values, dtype=float)
-        mask = w > 0.0
-        return _fold(w[mask] * v[mask])
+        acc = 0.0
+        for p, x in _atoms(values, weights):
+            if p > 0.0:
+                acc += p * x
+        return acc
 
     def rows(self, values: np.ndarray, weights: np.ndarray) -> np.ndarray:
         live = weights > 0.0
@@ -121,31 +139,42 @@ class _CertaintyEquivalent:
     the accurate form instead. A vector with no atom of positive weight has
     no certainty equivalent and raises DomainError.
 
+    A scalar call keeps the live atoms as Python floats (_atoms): vmax is
+    their maximum, NaN if one of them is NaN as with v.max(), z and the
+    weighted sums are Python arithmetic, and only expm1 and exp make one
+    numpy call each on the list z. Those two stay numpy because math.expm1
+    and math.exp do not round like them: with numpy 2.4 on an AVX-512 x86-64
+    CPU, math.expm1 differs from np.expm1 on 14 362 and math.exp from np.exp
+    on 9 344 of 200 000 arguments drawn as -Exponential(3).
+
     rows(values, weights) evaluates every row of two 2-D arrays, equal bit
     for bit to one call per row: vmax is a column-wise np.maximum, the sums
     are the same folds, and the logs are math.log1p/math.log per row,
-    because np.log1p does not always round like math.log1p.
+    as in a scalar call, because np.log1p does not always round like
+    math.log1p (they differ on 3 807 of 50 000 arguments uniform in
+    [-0.5, 1) on that machine).
     """
 
     def __init__(self, kappa: float):
         self.kappa = kappa
 
     def __call__(self, values: np.ndarray, weights: np.ndarray) -> float:
-        w = np.asarray(weights, dtype=float)
-        v = np.asarray(values, dtype=float)
-        mask = w > 0.0
-        w = w[mask]
-        v = v[mask]
-        if not len(v):
+        w, v = [], []
+        vmax = -math.inf
+        for p, x in _atoms(values, weights):
+            if p > 0.0:
+                w.append(p)
+                v.append(x)
+                if x > vmax or x != x:  # a NaN stays the maximum
+                    vmax = x
+        if not w:
             raise DomainError(_NO_MASS)
-        vmax = float(v.max())
-        # Python floats round each step as numpy does and overflow to -inf
-        # without a RuntimeWarning. An np.errstate costs about 2 µs, a third
-        # of the whole map on a few atoms.
+        if vmax != vmax:
+            vmax = float(np.max(v))  # the NaN v.max() gives, sign bit included
         kappa = self.kappa
-        z = np.array([kappa * (x - vmax) for x in v.tolist()])
-        s = _fold(w * np.expm1(z))
-        log_mean_exp = math.log1p(s) if s >= -0.5 else math.log(_fold(w * np.exp(z)))
+        z = [kappa * (x - vmax) for x in v]
+        s = _dot(w, np.expm1(z).tolist())
+        log_mean_exp = math.log1p(s) if s >= -0.5 else math.log(_dot(w, np.exp(z).tolist()))
         return vmax + log_mean_exp / kappa
 
     def rows(self, values: np.ndarray, weights: np.ndarray) -> np.ndarray:

@@ -229,8 +229,15 @@ class _Memo:
     Keys hold everything the cached number depends on, so a hit returns the
     bits a fresh computation would:
     * posteriors: (history, actions) -> posterior belief;
+    * steps: (history, actions, action) -> what _recursive_value needs at
+      the history besides the children's values (_step): the action's cost
+      row and kernel slice, the posterior, the next states with positive
+      predictive probability and the support's indices, so that a repeat
+      visit skips predictive_next_state and np.flatnonzero;
     * values: (history, actions, the policy's decisions at and under the
       history) -> recursive value of that subtree, never for the root;
+    * prefixes: path -> its prefixes from the initial state on, the
+      decision points along it, which _paths_value reads the actions at;
     * terms: (path, actions along it) -> the path's static-form term.
     """
 
@@ -241,7 +248,9 @@ class _Memo:
             for s in range(1, len(p) + 1):
                 self.below.setdefault(p[:s], []).append(p)
         self.posteriors: dict = {}
+        self.steps: dict = {}
         self.values: dict = {}
+        self.prefixes: dict = {}
         self.terms: dict = {}
 
 
@@ -254,6 +263,21 @@ def _posterior(m: ModelSpec, hist: tuple[str, ...], acts: tuple[str, ...], memo:
     return xi
 
 
+def _step(m: ModelSpec, pol: HistoryPolicy, hist: tuple[str, ...], acts: tuple[str, ...],
+          memo: _Memo | None) -> tuple:
+    """The policy's step at a history, for _recursive_value, checked admissible:
+    (cost row, kernel slice over parameters, posterior, (index, label) of
+    each next state with positive predictive probability, none at the
+    horizon, support indices)."""
+    u, j, k = _policy_step(m, pol, hist)
+    xi = _posterior(m, hist, acts, memo)
+    nexts = []
+    if len(hist) < m.horizon:
+        pred = predictive_next_state(m, xi, hist[-1], u).tolist()
+        nexts = [(l, y) for l, y in enumerate(m.states) if pred[l] > 0.0]
+    return m.cost[len(hist) - 1, j, k], m.kernel[:, j, k], xi, nexts, np.flatnonzero(xi.weights > 0.0)
+
+
 def _recursive_value(
     m: ModelSpec, crit: CriterionSpec, pol: HistoryPolicy,
     hist: tuple[str, ...], acts: tuple[str, ...], memo: _Memo | None = None,
@@ -264,20 +288,20 @@ def _recursive_value(
         v = memo.values.get(key)
         if v is not None:
             return v
-    t = len(hist)
-    x = hist[-1]
-    u, j, k = _policy_step(m, pol, hist)
-    xi = _posterior(m, hist, acts, memo)
+    u = pol.action(hist)
+    # The step, and so its admissibility check, depends only on its key.
+    step = None if memo is None else memo.steps.get((hist, acts, u))
+    if step is None:
+        step = _step(m, pol, hist, acts, memo)
+        if memo is not None:
+            memo.steps[hist, acts, u] = step
+    cvec, kernel_jk, xi, nexts, support = step
     w = None
-    if t < m.horizon:
-        pred = predictive_next_state(m, xi, x, u)
+    if len(hist) < m.horizon:
         w = np.zeros(len(m.states))
-        for l, y in enumerate(m.states):
-            if pred[l] > 0.0:
-                w[l] = _recursive_value(m, crit, pol, hist + (y,), acts + (u,), memo)
-    f = _stage_plus_sigma(crit, m.cost[t - 1, j, k], m.kernel[:, j, k],
-                          np.flatnonzero(xi.weights > 0.0), w)
-    v = crit.rho_hat.evaluate(f, xi.weights)
+        for l, y in nexts:
+            w[l] = _recursive_value(m, crit, pol, hist + (y,), acts + (u,), memo)
+    v = crit.rho_hat.evaluate(_stage_plus_sigma(crit, cvec, kernel_jk, support, w), xi.weights)
     if key is not None:
         memo.values[key] = v
     return v
@@ -303,6 +327,16 @@ def _paths_value(
     m: ModelSpec, crit: CriterionSpec, pol: HistoryPolicy,
     hist: tuple[str, ...], path_cap: int, memo: _Memo | None = None,
 ) -> float:
+    """eval_policy_paths at hist, with brute force's memo when it scores.
+
+    Each path's term is formed per parameter on Python floats: its
+    likelihood is a left-to-right product of kernel entries from 1.0 and its
+    cost sum a left-to-right sum from 0.0, each step one IEEE multiply or
+    add, which rounds as numpy's elementwise one does. np.exp stays numpy
+    because math.exp does not round like it (see _CertaintyEquivalent), and
+    the terms are summed over paths in path order, then weighted by the
+    posterior with one np.dot.
+    """
     t0 = len(hist)
     acts = _prefix_actions(pol, hist)
     xi = _posterior(m, hist, acts, memo)
@@ -312,31 +346,34 @@ def _paths_value(
         raise CapExceeded(f"{n_cont} continuation paths exceed cap {path_cap}")
 
     n_params = len(m.parameters)
-    acc = np.zeros(n_params)
+    acc = [0.0] * n_params
     for cont in itertools.product(m.states, repeat=m.horizon - t0):
         full = hist + cont
-        key = None if memo is None else (full, tuple(pol.action(full[:s]) for s in range(t0, m.horizon + 1)))
-        term = None if key is None else memo.terms.get(key)
+        key = term = None
+        if memo is not None:
+            points = memo.prefixes.get(full)
+            if points is None:
+                points = memo.prefixes[full] = [full[:s] for s in range(1, m.horizon + 1)]
+            key = (full, tuple(map(pol.decisions.__getitem__, points[t0 - 1:])))
+            term = memo.terms.get(key)
         if term is None:
-            prob = np.ones(n_params)
-            csum = np.zeros(n_params)
+            prob = [1.0] * n_params
+            csum = [0.0] * n_params
             for s in range(t0, m.horizon + 1):
                 _, j, k = _policy_step(m, pol, full[:s])
-                csum += m.cost[s - 1, j, k]
+                csum = [a + c for a, c in zip(csum, m.cost[s - 1, j, k].tolist())]
                 if s < m.horizon:
-                    prob *= m.kernel[:, j, k, m.state_index(full[s])]
-            if crit.kind == "expectation":
-                term = prob * csum
-            else:
-                term = prob * np.exp(crit.kappa * csum)
+                    prob = [a * p for a, p in zip(prob, m.kernel[:, j, k, m.state_index(full[s])].tolist())]
+            if crit.kind != "expectation":
+                csum = np.exp([crit.kappa * c for c in csum]).tolist()  # now exp(kappa * cost sum)
+            term = [p * c for p, c in zip(prob, csum)]
             if key is not None:
                 memo.terms[key] = term
-        acc += term
+        acc = [a + b for a, b in zip(acc, term)]
 
     mask = xi.weights > 0.0
-    if crit.kind == "expectation":
-        return float(np.dot(xi.weights[mask], acc[mask]))
-    return float(np.log(np.dot(xi.weights[mask], acc[mask]))) / crit.kappa
+    dot = float(np.dot(xi.weights[mask], np.array(acc)[mask]))
+    return dot if crit.kind == "expectation" else float(np.log(dot)) / crit.kappa
 
 
 def eval_policy_decomposed(

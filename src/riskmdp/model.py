@@ -194,14 +194,18 @@ def _normalize_rows_each(rows: np.ndarray) -> tuple[np.ndarray, dict[int, Domain
     # x / 1.0 == x, so rows that already sum to 1.0 come through unchanged.
     out = rows / np.where(ok, s, 1.0)[:, None]
     r = np.flatnonzero(ok)
-    j = out.argmax(axis=1)
+    j = None
     for _ in range(4):
         if not r.size:
             break
         d = 1.0 - _row_sum(out[r].T)
         live = d != 0.0
         r, d = r[live], d[live]
-        out[r, j[r]] += d
+        # Each row's largest coordinate, first of equals, taken only for the
+        # rows that miss 1.0 after the divide (about a fifth of them in the
+        # dose model's big levels), before any fold changes them.
+        j = out[r].argmax(axis=1) if j is None else j[live]
+        out[r, j] += d
     errors = {i: DomainError(_BAD_WEIGHTS if b else _NONPOSITIVE_SUM)
               for i, b in zip(np.flatnonzero(~ok).tolist(), bad[~ok].tolist())}
     if r.size:

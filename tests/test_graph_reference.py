@@ -241,7 +241,8 @@ def test_integer_keys_group_rounding_edge_rows_as_strings():
     assert len(np.unique(printed, axis=0)) < len(np.unique(post, axis=0))
     assert_groups_match(nxt, post)
     for r in range(0, len(post), 500):  # and in small batches, as a small level would pass them
-        assert_groups_match(nxt[r:r + 3], post[r:r + 3])
+        for size in (3, belief._DICT_ROWS, belief._DICT_ROWS + 1):
+            assert_groups_match(nxt[r:r + size], post[r:r + size])
 
 
 def test_hash_collisions_fall_back_to_the_tuples(monkeypatch):
